@@ -1,12 +1,14 @@
 // Morsel-parallel hash join scaling: a fact x dim star join (perfect-hash
 // territory: the build keys are a dense duplicate-free integer domain) and a
 // fact x fact join (duplicate keys on both sides, generic flat table), each
-// executed at 1/2/4/8 executors with cold and warm LLAP cache. Timings
-// follow the repo convention of wall time plus modeled virtual time: probe
-// CPU (Config::join_cpu_ns_per_row, halved when the perfect-hash table
-// engages) and the partitioned build are charged per executor critical
-// path, so the speedup reflects a host with num_executors cores. Results
-// must stay byte-identical at every executor count and table variant.
+// executed at 1/2/4/8 executors (exec.num.executors; 1 is serial execution:
+// the probe pipeline and the build run on one worker) with cold and warm
+// LLAP cache. Timings follow the repo convention of wall time plus modeled
+// virtual time: probe CPU (Config::join_cpu_ns_per_row, halved when the
+// perfect-hash table engages) and the partitioned build are charged per
+// executor critical path, so the speedup reflects a host with num_executors
+// cores. Results must stay byte-identical at every executor count and table
+// variant.
 //
 // Emits BENCH_join.json. `--smoke` runs a tiny scale for ctest.
 

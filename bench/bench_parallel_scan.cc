@@ -1,5 +1,6 @@
 // Morsel-driven scan scaling: one scan-heavy aggregate over the partitioned
-// TPC-DS fact table, executed at 1/2/4/8 executors with cold and warm LLAP
+// TPC-DS fact table, executed at 1/2/4/8 executors (exec.num.executors; 1 is
+// serial execution, the same pipeline on one worker) with cold and warm LLAP
 // cache. The morsel queue splits the scan into (location, file, row_group)
 // units claimed by executor threads; timings follow the repo convention of
 // wall time plus modeled virtual time (scan CPU is charged per executor

@@ -26,28 +26,22 @@ class Config {
   /// Extra per-stage materialization cost factor in MR mode: each stage
   /// writes its shuffle output through the file system.
   bool mr_materialize_shuffle = true;
-  /// Worker parallelism (stand-in for cluster executors).
+  /// Worker parallelism (stand-in for cluster executors): the most workers
+  /// one pipeline or hash build fans out to. 1 is serial execution; MR mode
+  /// always runs one worker.
   int num_executors = 4;
-  /// Morsel-driven intra-query parallelism for leaf scan pipelines
-  /// (scan -> filter/project [-> partial aggregate]). Off in MR mode
-  /// regardless of this flag.
-  bool parallel_scan_enabled = true;
   /// Modeled per-row scan CPU cost in nanoseconds of virtual time (~3M
   /// rows/s per executor core at the default). Executors are modeled the
-  /// same way container start-up is: a serial scan charges the clock for
-  /// every row it reads, while a parallel pipeline charges only its
-  /// slowest worker — the critical path of a morsel queue drained by
-  /// num_executors cores, whether or not the host physically has them.
+  /// same way container start-up is: a pipeline charges only its slowest
+  /// worker — the critical path of a morsel queue drained by num_executors
+  /// cores, whether or not the host physically has them (one worker pays
+  /// for every row it reads).
   int64_t scan_cpu_ns_per_row = 350;
-  /// Morsel-driven parallel hash-join probe (build side is partitioned
-  /// across the executor pool as well). Off in MR mode regardless.
-  bool parallel_join_enabled = true;
   /// Perfect-hash join for single dense-integer build-key domains
   /// (date_dim/item-style dimensions): probe = bounds check + array load.
   bool perfect_hash_join_enabled = true;
   /// Modeled per-row join CPU cost (build insert / probe lookup), charged
-  /// like scan_cpu_ns_per_row: serial joins pay every row, parallel joins
-  /// pay the slowest worker.
+  /// like scan_cpu_ns_per_row: for the slowest worker.
   int64_t join_cpu_ns_per_row = 200;
   /// Rows per vectorized batch.
   int vector_batch_size = 1024;
@@ -82,7 +76,7 @@ class Config {
 
   // --- fault tolerance (task retries, speculation, deadlines) ---
   /// "task.max.attempts": attempts for a task whose failure is transient —
-  /// a morsel read inside the parallel scan, or a whole query fragment
+  /// a morsel read inside a pipeline, or a whole query fragment
   /// (Tez re-runs failed task attempts the same way). 1 disables retries.
   int task_max_attempts = 3;
   /// Base backoff between attempts, doubling per retry; charged to the
@@ -161,8 +155,6 @@ class Config {
   void SetLegacyV12Mode() {
     execution_engine = "mr";
     llap_enabled = false;
-    parallel_scan_enabled = false;
-    parallel_join_enabled = false;
     perfect_hash_join_enabled = false;
     cbo_enabled = false;
     shared_work_enabled = false;
@@ -188,9 +180,7 @@ class Config {
   X(container_startup_us, "container.startup.us")                           \
   X(mr_materialize_shuffle, "mr.materialize.shuffle")                       \
   X(num_executors, "exec.num.executors")                                    \
-  X(parallel_scan_enabled, "exec.parallel.scan.enabled")                    \
   X(scan_cpu_ns_per_row, "exec.scan.cpu.ns.per.row")                        \
-  X(parallel_join_enabled, "exec.parallel.join.enabled")                    \
   X(perfect_hash_join_enabled, "exec.perfect.hash.join.enabled")            \
   X(join_cpu_ns_per_row, "exec.join.cpu.ns.per.row")                        \
   X(vector_batch_size, "exec.vector.batch.size")                            \

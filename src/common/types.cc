@@ -88,6 +88,16 @@ int Value::Compare(const Value& a, const Value& b) {
     }
   }
   if (IsNumericKind(a.kind_) && IsNumericKind(b.kind_)) {
+    if ((a.kind_ == TypeKind::kDecimal && b.kind_ == TypeKind::kDouble) ||
+        (a.kind_ == TypeKind::kDouble && b.kind_ == TypeKind::kDecimal)) {
+      // DECIMAL vs DOUBLE compares in double, the decimal converted by
+      // AsDouble: the rule of the vectorized kernels and of Value::Hash, so
+      // DECIMAL 8.43 equals the literal 8.43 on every path (sargs, IN,
+      // BETWEEN, vectorized comparisons, hash-join keys). Widening only the
+      // decimal exactly would put it above the literal's nearest double.
+      const double x = a.AsDouble(), y = b.AsDouble();
+      return x < y ? -1 : (x > y ? 1 : 0);
+    }
     long double x = a.kind_ == TypeKind::kDouble ? a.f64_
                   : a.kind_ == TypeKind::kDecimal
                         ? static_cast<long double>(a.i64_) / Pow10(a.scale_)

@@ -2,7 +2,7 @@
 
 #include "common/hash.h"
 #include "common/serde.h"
-#include "exec/operators.h"
+#include "exec/pipeline.h"
 #include "exec/vector_eval.h"
 #include "optimizer/expr_eval.h"
 #include "storage/cof.h"
@@ -522,55 +522,66 @@ uint64_t AggSpillSet::bytes_spilled() const {
 
 // --- HashAggregateOperator ---
 
-HashAggregateOperator::HashAggregateOperator(ExecContext* ctx, OperatorPtr child,
+HashAggregateOperator::HashAggregateOperator(ExecContext* ctx,
+                                             std::unique_ptr<Pipeline> input,
                                              std::vector<ExprPtr> keys,
                                              std::vector<AggCall> aggs, Schema schema)
     : Operator(ctx),
-      child_(std::move(child)),
+      input_(std::move(input)),
       keys_(std::move(keys)),
       aggs_(std::move(aggs)),
-      schema_(std::move(schema)),
-      state_(&keys_, &aggs_) {}
+      schema_(std::move(schema)) {}
 
-Status HashAggregateOperator::Open() { return child_->Open(); }
+HashAggregateOperator::~HashAggregateOperator() = default;
+
+Status HashAggregateOperator::Open() { return input_->Open(); }
 
 Status HashAggregateOperator::Consume() {
-  bool done = false;
-  uint64_t seq = 0;
-  reservation_.Attach(ctx_->query_memory);
-  for (;;) {
-    HIVE_RETURN_IF_ERROR(CheckCancelled());
-    HIVE_ASSIGN_OR_RETURN(RowBatch batch, child_->Next(&done));
-    if (done) break;
-    HIVE_RETURN_IF_ERROR(state_.Consume(batch, seq));
-    seq += batch.SelectedSize();
-    if (!reservation_.GrowTo(static_cast<int64_t>(state_.approx_bytes()))) {
-      CountSpillMetric(ctx_, obs::metric::kSpillDeniedReservations, 1);
-      // Scalar aggregates (no keys) hold a single group; spilling cannot
-      // shrink them.
-      if (!ctx_->CanSpill() || keys_.empty())
-        return BudgetExceededStatus(
-            "hash aggregate", static_cast<int64_t>(state_.approx_bytes()), ctx_);
-      if (!spill_)
-        spill_ = std::make_unique<AggSpillSet>(
-            ctx_, ctx_->spill_dir + "/a" + std::to_string(NextSpillStreamId()),
-            &keys_, &aggs_, std::max(2, ctx_->config->spill_partitions),
-            /*workers=*/1);
-      HIVE_RETURN_IF_ERROR(spill_->Flush(0, &state_));
-      reservation_.Release();
-    }
-  }
-  if (spill_ && spill_->spilled()) {
-    HIVE_RETURN_IF_ERROR(spill_->PrepareEmit(&state_, schema_));
-    state_.Reset();
-    reservation_.Release();
-    HIVE_RETURN_IF_ERROR(ctx_->OnStageBoundary(spill_->bytes_spilled()));
-  } else {
-    state_.Seal();
-    HIVE_RETURN_IF_ERROR(ctx_->OnStageBoundary(state_.approx_bytes()));
-  }
   consumed_ = true;
-  return Status::OK();
+  const int workers = input_->DecideWorkers();
+  for (int w = 0; w < workers; ++w) {
+    partials_.push_back(std::make_unique<GroupedAggState>(&keys_, &aggs_));
+    reservations_.push_back(std::make_unique<MemoryReservation>(ctx_->query_memory));
+  }
+  // Scalar aggregates hold a single group that flushing cannot shrink, so
+  // they never spill. The spill set exists up front: workers flush
+  // concurrently and must not race a lazy construction.
+  const bool can_spill = ctx_->CanSpill() && !keys_.empty();
+  if (can_spill)
+    spill_ = std::make_unique<AggSpillSet>(
+        ctx_, ctx_->spill_dir + "/a" + std::to_string(NextSpillStreamId()),
+        &keys_, &aggs_, std::max(2, ctx_->config->spill_partitions), workers);
+  HIVE_RETURN_IF_ERROR(input_->Run(
+      workers, [this, can_spill](int worker, size_t unit, RowBatch&& batch) -> Status {
+        // Sequence rows by (unit, row) so group order is the input order,
+        // independent of the unit-to-worker assignment.
+        GroupedAggState* state = partials_[static_cast<size_t>(worker)].get();
+        HIVE_RETURN_IF_ERROR(state->Consume(batch, static_cast<uint64_t>(unit) << 32));
+        MemoryReservation* res = reservations_[static_cast<size_t>(worker)].get();
+        if (res->GrowTo(static_cast<int64_t>(state->approx_bytes())))
+          return Status::OK();
+        CountSpillMetric(ctx_, obs::metric::kSpillDeniedReservations, 1);
+        if (!can_spill)
+          return BudgetExceededStatus(
+              "hash aggregate", static_cast<int64_t>(state->approx_bytes()), ctx_);
+        HIVE_RETURN_IF_ERROR(spill_->Flush(worker, state));
+        res->Release();
+        return Status::OK();
+      }));
+  // Merge the worker partials (partial-aggregate exchange).
+  for (size_t w = 1; w < partials_.size(); ++w)
+    partials_[0]->Merge(std::move(*partials_[w]));
+  partials_.resize(1);
+  if (spill_ && spill_->spilled()) {
+    // The merged unspilled groups are the remainder; the sealed result
+    // rebuilds partition-wise from the spill streams.
+    HIVE_RETURN_IF_ERROR(spill_->PrepareEmit(partials_[0].get(), schema_));
+    partials_[0]->Reset();
+    for (auto& r : reservations_) r->Release();
+    return ctx_->OnStageBoundary(spill_->bytes_spilled());
+  }
+  partials_[0]->Seal();
+  return ctx_->OnStageBoundary(partials_[0]->approx_bytes());
 }
 
 Result<RowBatch> HashAggregateOperator::Next(bool* done) {
@@ -580,14 +591,15 @@ Result<RowBatch> HashAggregateOperator::Next(bool* done) {
     if (!*done) rows_produced_ += static_cast<int64_t>(out.num_rows());
     return out;
   }
-  size_t batch_size = static_cast<size_t>(ctx_->config->vector_batch_size);
-  if (emit_index_ >= state_.num_groups()) {
+  const GroupedAggState& state = *partials_[0];
+  if (emit_index_ >= state.num_groups()) {
     *done = true;
     return RowBatch();
   }
   *done = false;
-  size_t end = std::min(state_.num_groups(), emit_index_ + batch_size);
-  HIVE_ASSIGN_OR_RETURN(RowBatch out, state_.Emit(emit_index_, end, schema_));
+  const size_t batch_size = static_cast<size_t>(ctx_->config->vector_batch_size);
+  const size_t end = std::min(state.num_groups(), emit_index_ + batch_size);
+  HIVE_ASSIGN_OR_RETURN(RowBatch out, state.Emit(emit_index_, end, schema_));
   emit_index_ = end;
   rows_produced_ += static_cast<int64_t>(out.num_rows());
   return out;
@@ -600,7 +612,7 @@ Status HashAggregateOperator::Close() {
     d += "spill=agg flushes=" + std::to_string(spill_->flushes()) +
          " spill_bytes=" + std::to_string(spill_->bytes_spilled());
   }
-  return child_->Close();
+  return input_->Close();
 }
 
 }  // namespace hive

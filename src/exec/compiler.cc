@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <map>
 
-#include "exec/parallel_scan.h"
+#include "exec/pipeline.h"
 
 namespace hive {
 
@@ -48,6 +48,9 @@ class ProfilingOperator : public Operator {
   }
 
   const Schema& schema() const override { return child_->schema(); }
+
+  Operator* child() { return child_.get(); }
+  obs::OperatorProfileNode* node() { return node_.get(); }
 
  private:
   /// RAII span: accumulates the call's wall + virtual (SimClock) time into
@@ -268,17 +271,19 @@ class Compiler {
         if (spool != spools_.end()) {
           state = spool->second;
         } else {
-          auto bare = std::make_shared<RelNode>(*node);
-          bare->scan_filters.clear();
+          RelNode bare = *node;
+          bare.scan_filters.clear();
           state = std::make_shared<SpoolState>();
-          state->source = std::make_unique<ScanOperator>(ctx_, *bare);
+          // Neither the shared read nor the consumers' filters record
+          // runtime stats: the bare digest can equal another scan's.
+          state->source = Face(std::make_unique<Pipeline>(ctx_, bare, ""));
           spools_[bare_digest] = state;
         }
         AnnotateProfile("merged-scan");
-        OperatorPtr op = std::make_unique<SpoolOperator>(ctx_, state, node->schema);
-        for (const ExprPtr& filter : node->scan_filters)
-          op = std::make_unique<FilterOperator>(ctx_, std::move(op), filter);
-        return op;
+        auto pipeline = std::make_unique<Pipeline>(
+            ctx_, std::make_unique<SpoolOperator>(ctx_, state, node->schema));
+        for (const ExprPtr& filter : node->scan_filters) pipeline->AddFilter(filter, "");
+        return Face(std::move(pipeline));
       }
     }
     return CompileBare(node);
@@ -296,64 +301,40 @@ class Compiler {
     profile_parent_->detail += tag;
   }
 
-  /// Rewrites the current profile node's identity (parallel pipelines
-  /// replace a whole scan->filter->project chain with one operator).
+  /// Relabels the current profile node (a spool replay).
   void RelabelProfile(const std::string& name, const std::string& detail) {
     if (!profile_parent_) return;
     profile_parent_->name = name;
     profile_parent_->detail = detail;
   }
 
-  /// Morsel-driven parallelism is available outside MR mode (MapReduce
-  /// models one task per containerized stage, not intra-fragment threads).
-  bool ParallelEligible() const {
-    return ctx_->config->parallel_scan_enabled &&
-           ctx_->mode != RuntimeMode::kMapReduce;
+  OperatorPtr Face(std::unique_ptr<Pipeline> pipeline) {
+    return std::make_unique<PipelineOperator>(ctx_, std::move(pipeline));
   }
 
-  bool IsSpooled(const RelNodePtr& node) const {
-    if (!ctx_->config->shared_work_enabled) return false;
-    auto it = digest_counts_.find(node->Digest());
-    return it != digest_counts_.end() && it->second > 1;
-  }
-
-  /// Matches the scan-merge sharing condition of CompileNode: such scans
-  /// must reach the spool path, not the parallel one.
-  bool IsMergedScan(const RelNodePtr& scan) const {
-    if (!ctx_->config->shared_work_enabled || !scan->semijoin_reducers.empty() ||
-        scan->scan_filters.empty())
-      return false;
-    auto it = bare_scan_counts_.find(BareScanDigest(*scan));
-    return it != bare_scan_counts_.end() && it->second > 1;
-  }
-
-  /// Collects `node` into a parallel leaf pipeline (native scan + stacked
-  /// filter/project stages) when the whole chain is private — any node that
-  /// participates in shared-work spooling keeps the serial operators so the
-  /// spool machinery stays in charge.
-  bool CollectPipeline(const RelNodePtr& node, ParallelPipelineSpec* spec) {
-    if (!ParallelEligible()) return false;
-    RelNodePtr cur = node;
-    std::vector<RelNodePtr> stages;
-    while (cur->kind == RelKind::kFilter || cur->kind == RelKind::kProject) {
-      if (IsSpooled(cur)) return false;
-      stages.push_back(cur);
-      cur = cur->inputs[0];
+  /// The pipeline a compiled subtree ends in, so a consumer (filter,
+  /// project, join probe, aggregate) can stack on it: a pipeline face is
+  /// detached — its profile node becomes the pipeline's top stage node —
+  /// and any other operator becomes the source of a new pipeline.
+  std::unique_ptr<Pipeline> TakePipeline(OperatorPtr op) {
+    Operator* inner = op.get();
+    obs::OperatorProfileNode* node = nullptr;
+    if (auto* profiled = dynamic_cast<ProfilingOperator*>(inner)) {
+      inner = profiled->child();
+      node = profiled->node();
     }
-    if (cur->kind != RelKind::kScan || !cur->table.storage_handler.empty())
-      return false;
-    if (IsSpooled(cur) || IsMergedScan(cur)) return false;
-    spec->scan = cur;
-    std::reverse(stages.begin(), stages.end());
-    spec->stages = std::move(stages);
-    return true;
+    auto* face = dynamic_cast<PipelineOperator*>(inner);
+    if (!face) return std::make_unique<Pipeline>(ctx_, std::move(op));
+    std::unique_ptr<Pipeline> pipeline = face->Release();
+    if (node) pipeline->AdoptProfileNode(node);
+    return pipeline;
   }
 
-  /// Builds the physical join for (left_rel JOIN right_rel): perfect-hash
-  /// hint from plan-time key-shape analysis, morsel-parallel probe when the
-  /// probe side collapses into a parallel leaf pipeline, serial hash join
-  /// otherwise. `join_type` and `condition` are already normalized (right
-  /// joins arrive as left joins over swapped inputs).
+  /// Builds the physical join for (left_rel JOIN right_rel): the build side
+  /// compiles as an operator, the probe side as the pipeline the join's
+  /// probe stage ends, and the perfect-hash hint comes from plan-time
+  /// key-shape analysis. `join_type` and `condition` are already normalized
+  /// (right joins arrive as left joins over swapped inputs).
   Result<OperatorPtr> CompileJoin(const RelNodePtr& left_rel,
                                   const RelNodePtr& right_rel,
                                   TableRef::JoinType join_type, ExprPtr condition,
@@ -362,48 +343,17 @@ class Compiler {
         ctx_->config->perfect_hash_join_enabled &&
         HashJoinCore::PerfectHashEligible(
             condition, static_cast<int>(left_rel->schema.num_fields()));
-    ParallelPipelineSpec spec;
-    if (ctx_->config->parallel_join_enabled && CollectPipeline(left_rel, &spec)) {
-      HIVE_ASSIGN_OR_RETURN(OperatorPtr build, CompileNode(right_rel));
-      AnnotateProfile("parallel");
-      auto join = std::make_unique<ParallelHashJoinOperator>(
-          ctx_, std::move(spec), std::move(build), join_type, std::move(condition),
-          out_schema);
-      join->core()->set_perfect_hash_hint(perfect_hint);
-      join->core()->set_profile_node(profile_parent_);
-      return OperatorPtr(std::move(join));
-    }
     HIVE_ASSIGN_OR_RETURN(OperatorPtr left, CompileNode(left_rel));
     HIVE_ASSIGN_OR_RETURN(OperatorPtr right, CompileNode(right_rel));
-    auto join = std::make_unique<HashJoinOperator>(ctx_, std::move(left),
-                                                   std::move(right), join_type,
-                                                   std::move(condition), out_schema);
+    auto join = std::make_unique<HashJoinOperator>(
+        ctx_, TakePipeline(std::move(left)), std::move(right), join_type,
+        std::move(condition), out_schema);
     join->core()->set_perfect_hash_hint(perfect_hint);
     join->core()->set_profile_node(profile_parent_);
     return OperatorPtr(std::move(join));
   }
 
   Result<OperatorPtr> CompileBare(const RelNodePtr& node) {
-    switch (node->kind) {
-      case RelKind::kScan:
-      case RelKind::kFilter:
-      case RelKind::kProject: {
-        // Parallel leaf pipeline: the gather operator records scan/filter
-        // stats from its workers, so no StatsRecording wrapper here.
-        ParallelPipelineSpec spec;
-        if (CollectPipeline(node, &spec)) {
-          // The whole scan->filter->project chain collapses into one
-          // morsel-parallel operator; the span follows suit.
-          RelabelProfile("ParallelScan", spec.scan->table.FullName());
-          if (profile_parent_) profile_parent_->blocking = true;
-          return OperatorPtr(
-              std::make_unique<ParallelScanOperator>(ctx_, std::move(spec)));
-        }
-        break;
-      }
-      default:
-        break;
-    }
     switch (node->kind) {
       case RelKind::kScan: {
         if (!node->table.storage_handler.empty()) {
@@ -412,23 +362,21 @@ class Compiler {
                                         node->table.storage_handler);
           return ctx_->external_scan_factory(*node);
         }
-        auto op = std::make_unique<ScanOperator>(ctx_, *node);
-        return OperatorPtr(std::make_unique<StatsRecordingOperator>(
-            ctx_, std::move(op), node->Digest()));
+        return Face(std::make_unique<Pipeline>(ctx_, *node, node->Digest()));
       }
       case RelKind::kValues:
         return OperatorPtr(std::make_unique<ValuesOperator>(ctx_, *node));
       case RelKind::kFilter: {
         HIVE_ASSIGN_OR_RETURN(OperatorPtr child, CompileNode(node->inputs[0]));
-        auto op = std::make_unique<FilterOperator>(ctx_, std::move(child),
-                                                   node->predicate);
-        return OperatorPtr(std::make_unique<StatsRecordingOperator>(
-            ctx_, std::move(op), node->Digest()));
+        std::unique_ptr<Pipeline> pipeline = TakePipeline(std::move(child));
+        pipeline->AddFilter(node->predicate, node->Digest());
+        return Face(std::move(pipeline));
       }
       case RelKind::kProject: {
         HIVE_ASSIGN_OR_RETURN(OperatorPtr child, CompileNode(node->inputs[0]));
-        return OperatorPtr(std::make_unique<ProjectOperator>(
-            ctx_, std::move(child), node->exprs, node->schema));
+        std::unique_ptr<Pipeline> pipeline = TakePipeline(std::move(child));
+        pipeline->AddProject(node->exprs, node->schema);
+        return Face(std::move(pipeline));
       }
       case RelKind::kJoin: {
         if (node->join_type == TableRef::JoinType::kRight) {
@@ -460,8 +408,9 @@ class Compiler {
             ref->type = swapped.field(src).type;
             exprs.push_back(ref);
           }
-          return OperatorPtr(std::make_unique<ProjectOperator>(
-              ctx_, std::move(join), std::move(exprs), node->schema));
+          auto pipeline = std::make_unique<Pipeline>(ctx_, std::move(join));
+          pipeline->AddProject(std::move(exprs), node->schema);
+          return Face(std::move(pipeline));
         }
         HIVE_ASSIGN_OR_RETURN(
             OperatorPtr op,
@@ -471,27 +420,10 @@ class Compiler {
             ctx_, std::move(op), node->Digest()));
       }
       case RelKind::kAggregate: {
-        // Scan -> filter/project -> partial aggregate: fold morsels into
-        // per-worker states and merge, instead of aggregating a gathered
-        // stream. Workers record the scan/filter stats; the wrapper here
-        // records only the aggregate node itself.
-        ParallelPipelineSpec spec;
-        if (CollectPipeline(node->inputs[0], &spec)) {
-          RelabelProfile(
-              "ParallelAgg",
-              spec.scan->table.FullName() + ",keys=" +
-                  std::to_string(node->group_keys.size()) + ",aggs=" +
-                  std::to_string(node->aggs.size()));
-          if (profile_parent_) profile_parent_->blocking = true;
-          auto op = std::make_unique<ParallelAggregateOperator>(
-              ctx_, std::move(spec), node->group_keys, node->aggs, node->schema);
-          op->set_profile_node(profile_parent_);
-          return OperatorPtr(std::make_unique<StatsRecordingOperator>(
-              ctx_, std::move(op), node->Digest()));
-        }
         HIVE_ASSIGN_OR_RETURN(OperatorPtr child, CompileNode(node->inputs[0]));
         auto op = std::make_unique<HashAggregateOperator>(
-            ctx_, std::move(child), node->group_keys, node->aggs, node->schema);
+            ctx_, TakePipeline(std::move(child)), node->group_keys, node->aggs,
+            node->schema);
         op->set_profile_node(profile_parent_);
         return OperatorPtr(std::make_unique<StatsRecordingOperator>(
             ctx_, std::move(op), node->Digest()));

@@ -1,6 +1,7 @@
 #ifndef HIVE_EXEC_EXEC_CONTEXT_H_
 #define HIVE_EXEC_EXEC_CONTEXT_H_
 
+#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <future>
@@ -85,14 +86,19 @@ struct ExecContext {
   RuntimeMode mode = RuntimeMode::kTez;
 
   /// Fans an intra-query worker fragment out to the persistent executor pool
-  /// (morsel-driven parallel pipelines). Null = no executor pool; workers
-  /// then run inline on the coordinating thread.
+  /// (morsel-driven pipelines, partitioned hash builds). Null = no executor
+  /// pool (MR mode, hand-built contexts): everything runs on one worker.
   std::function<std::future<Status>(std::function<Status()>)> submit_worker;
   /// I/O elevator hook: asynchronously reads + decodes a column chunk into
   /// the shared cache so it is warm by the time a worker claims the morsel.
   std::function<void(std::shared_ptr<CofReader>, size_t, size_t)> prefetch_chunk;
-  /// Upper bound on worker threads a single parallel pipeline may use.
+  /// Upper bound on worker threads a single pipeline may use.
   int max_parallel_workers = 1;
+  /// The one place the worker budget is decided: max_parallel_workers when
+  /// there is an executor pool to fan out to, 1 otherwise.
+  int MaxWorkers() const {
+    return submit_worker ? std::max(1, max_parallel_workers) : 1;
+  }
   /// Abort flag for workload-manager KILL triggers.
   std::shared_ptr<std::atomic<bool>> cancelled;
   /// Why `cancelled` was raised (trigger name / deadline); shared with the

@@ -3,7 +3,7 @@
 #include <future>
 
 #include "common/hash.h"
-#include "exec/operators.h"
+#include "exec/pipeline.h"
 #include "exec/vector_eval.h"
 #include "optimizer/expr_eval.h"
 #include "obs/metric_names.h"
@@ -362,14 +362,10 @@ Status HashJoinCore::Build(Operator* build_child) {
       // counter and insert lock-free. Chain order within a partition depends
       // only on row order, which every partition walks ascending — the table
       // is identical at any worker or partition count.
-      bool want_parallel = ctx_->submit_worker != nullptr &&
-                           ctx_->config->parallel_join_enabled &&
-                           ctx_->mode != RuntimeMode::kMapReduce &&
-                           ctx_->max_parallel_workers > 1;
-      int target = want_parallel ? std::min(ctx_->max_parallel_workers, 16) : 1;
-      table_.Init(hashes, valid, target);
+      const int max_workers = ctx_->MaxWorkers();
+      table_.Init(hashes, valid, std::min(max_workers, 16));
       const int parts = table_.num_partitions();
-      const int workers = want_parallel ? std::min(ctx_->max_parallel_workers, parts) : 1;
+      const int workers = std::min(max_workers, parts);
       std::atomic<size_t> next_part{0};
       std::vector<int64_t> busy_ns(static_cast<size_t>(workers), 0);
       auto build_loop = [&](int w) -> Status {
@@ -474,7 +470,7 @@ Status HashJoinCore::GraceFinishProbe() {
     HIVE_RETURN_IF_ERROR(w->Finish());
     g.bytes += w->bytes_written();
   }
-  // Serial probe semantics: every probe row pays its modeled CPU exactly
+  // One-worker probe semantics: every probe row pays its modeled CPU exactly
   // once, whichever partition pair ends up probing it.
   if (ctx_->clock)
     ctx_->clock->Charge(static_cast<int64_t>(g.probe_seq) * probe_ns_per_row() /
@@ -871,85 +867,73 @@ void HashJoinCore::AnnotateProfile() {
 
 // --- HashJoinOperator ---
 
-HashJoinOperator::HashJoinOperator(ExecContext* ctx, OperatorPtr left,
-                                   OperatorPtr right, TableRef::JoinType join_type,
+HashJoinOperator::HashJoinOperator(ExecContext* ctx, std::unique_ptr<Pipeline> probe,
+                                   OperatorPtr build, TableRef::JoinType join_type,
                                    ExprPtr condition, Schema schema)
     : Operator(ctx),
-      left_(std::move(left)),
-      right_(std::move(right)),
+      probe_(std::move(probe)),
+      build_(std::move(build)),
       schema_(std::move(schema)),
       core_(ctx, join_type, std::move(condition), &schema_),
       is_full_join_(join_type == TableRef::JoinType::kFull) {}
 
+HashJoinOperator::~HashJoinOperator() = default;
+
 Status HashJoinOperator::Open() {
-  HIVE_RETURN_IF_ERROR(right_->Open());
-  HIVE_RETURN_IF_ERROR(core_.BindCondition(left_->schema()));
-  HIVE_RETURN_IF_ERROR(core_.Build(right_.get()));
-  // The probe subtree opens only once the build side finalized: a build
+  HIVE_RETURN_IF_ERROR(build_->Open());
+  HIVE_RETURN_IF_ERROR(core_.BindCondition(probe_->schema()));
+  HIVE_RETURN_IF_ERROR(core_.Build(build_.get()));
+  // Grace mode routes raw probe rows to partitions instead of probing.
+  if (!core_.grace_active()) probe_->SetProbe(&core_);
+  // The probe pipeline opens only once the build side finalized: a build
   // error or deadline kill returns above without ever touching it.
-  return left_->Open();
+  return probe_->Open();
 }
 
 Result<RowBatch> HashJoinOperator::Next(bool* done) {
   *done = false;
   if (core_.grace_active()) {
-    // Grace mode: route the whole probe side into hash partitions (modeled
-    // CPU charges once, inside GraceFinishProbe), join the partition pairs,
-    // then stream the sequence-merged output.
-    if (!exhausted_left_) {
-      bool left_done = false;
-      for (;;) {
-        HIVE_RETURN_IF_ERROR(CheckCancelled());
-        HIVE_ASSIGN_OR_RETURN(RowBatch batch, left_->Next(&left_done));
-        if (left_done) break;
-        HIVE_RETURN_IF_ERROR(core_.GraceAddProbeBatch(batch));
-      }
-      exhausted_left_ = true;
+    // Grace mode: one worker routes the whole probe side into hash
+    // partitions in input order (modeled CPU charges once, inside
+    // GraceFinishProbe), joins the partition pairs, then streams the
+    // sequence-merged output.
+    if (!probe_done_) {
+      probe_done_ = true;
+      HIVE_RETURN_IF_ERROR(
+          probe_->Run(1, [this](int, size_t, RowBatch&& batch) -> Status {
+            return core_.GraceAddProbeBatch(batch);
+          }));
       HIVE_RETURN_IF_ERROR(core_.GraceFinishProbe());
     }
     HIVE_ASSIGN_OR_RETURN(RowBatch out, core_.GraceNextOutput(done));
     if (!*done) rows_produced_ += static_cast<int64_t>(out.num_rows());
     return out;
   }
-  for (;;) {
-    HIVE_RETURN_IF_ERROR(CheckCancelled());
-    if (!exhausted_left_) {
-      bool left_done = false;
-      HIVE_ASSIGN_OR_RETURN(RowBatch batch, left_->Next(&left_done));
-      if (left_done) {
-        exhausted_left_ = true;
-        continue;
-      }
-      bool emitted = false;
-      HIVE_ASSIGN_OR_RETURN(RowBatch out, core_.ProbeBatch(batch, &emitted));
-      // Serial probe charges modeled CPU for every probed row (a parallel
-      // probe charges only its slowest worker).
-      if (ctx_->clock)
-        ctx_->clock->Charge(static_cast<int64_t>(batch.SelectedSize()) *
-                            core_.probe_ns_per_row() / 1000);
-      if (emitted) {
-        rows_produced_ += static_cast<int64_t>(out.num_rows());
-        return out;
-      }
-      continue;
+  if (!probe_done_) {
+    bool probe_done = false;
+    HIVE_ASSIGN_OR_RETURN(RowBatch out, probe_->Next(&probe_done));
+    if (!probe_done) {
+      rows_produced_ += static_cast<int64_t>(out.num_rows());
+      return out;
     }
-    if (is_full_join_ && !emitted_unmatched_) {
-      emitted_unmatched_ = true;
-      HIVE_ASSIGN_OR_RETURN(RowBatch out, core_.EmitUnmatchedRight());
-      if (out.num_rows() > 0) {
-        rows_produced_ += static_cast<int64_t>(out.num_rows());
-        return out;
-      }
-    }
-    *done = true;
-    return RowBatch();
+    probe_done_ = true;
   }
+  if (is_full_join_ && !emitted_unmatched_) {
+    emitted_unmatched_ = true;
+    HIVE_ASSIGN_OR_RETURN(RowBatch out, core_.EmitUnmatchedRight());
+    if (out.num_rows() > 0) {
+      rows_produced_ += static_cast<int64_t>(out.num_rows());
+      return out;
+    }
+  }
+  *done = true;
+  return RowBatch();
 }
 
 Status HashJoinOperator::Close() {
   core_.AnnotateProfile();
-  HIVE_RETURN_IF_ERROR(left_->Close());
-  return right_->Close();
+  HIVE_RETURN_IF_ERROR(probe_->Close());
+  return build_->Close();
 }
 
 }  // namespace hive

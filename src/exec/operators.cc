@@ -35,48 +35,6 @@ Result<RowBatch> ValuesOperator::Next(bool* done) {
   return out;
 }
 
-// --- Filter ---
-
-FilterOperator::FilterOperator(ExecContext* ctx, OperatorPtr child, ExprPtr predicate)
-    : Operator(ctx), child_(std::move(child)), predicate_(std::move(predicate)) {}
-
-Result<RowBatch> FilterOperator::Next(bool* done) {
-  for (;;) {
-    HIVE_RETURN_IF_ERROR(CheckCancelled());
-    HIVE_ASSIGN_OR_RETURN(RowBatch batch, child_->Next(done));
-    if (*done) return batch;
-    HIVE_ASSIGN_OR_RETURN(std::vector<int32_t> selection,
-                          FilterSelection(*predicate_, batch));
-    if (selection.empty()) continue;  // fully filtered batch; pull the next
-    rows_produced_ += static_cast<int64_t>(selection.size());
-    batch.SetSelection(std::move(selection));
-    return batch;
-  }
-}
-
-// --- Project ---
-
-ProjectOperator::ProjectOperator(ExecContext* ctx, OperatorPtr child,
-                                 std::vector<ExprPtr> exprs, Schema schema)
-    : Operator(ctx),
-      child_(std::move(child)),
-      exprs_(std::move(exprs)),
-      schema_(std::move(schema)) {}
-
-Result<RowBatch> ProjectOperator::Next(bool* done) {
-  HIVE_ASSIGN_OR_RETURN(RowBatch batch, child_->Next(done));
-  if (*done) return batch;
-  RowBatch out(schema_);
-  for (size_t i = 0; i < exprs_.size(); ++i) {
-    HIVE_ASSIGN_OR_RETURN(ColumnVectorPtr col, EvalVector(*exprs_[i], batch));
-    out.SetColumn(i, std::move(col));
-  }
-  out.set_num_rows(batch.num_rows());
-  if (batch.has_selection()) out.SetSelection(batch.selection());
-  rows_produced_ += static_cast<int64_t>(out.SelectedSize());
-  return out;
-}
-
 // --- Limit ---
 
 LimitOperator::LimitOperator(ExecContext* ctx, OperatorPtr child, int64_t limit)

@@ -17,33 +17,30 @@
 
 namespace hive {
 
+class Pipeline;
+
 /// Table scan over native tables: resolves the snapshot, runs any dynamic
 /// semijoin reducers (building min/max + Bloom sargs, or pruning partitions
-/// dynamically), then reads batches through the chunk provider (the LLAP
+/// dynamically), then reads morsels through the chunk provider (the LLAP
 /// cache when enabled). Partition-column values materialize as constant
 /// vectors. Residual predicates produce selection vectors.
 ///
 /// Open() enumerates the scan into morsels — one (location, file, row group)
-/// unit each — which are the work-stealing granularity of the parallel
-/// execution layer: serial Next() walks them in order, while a parallel
-/// pipeline has workers claim indexes from a shared atomic counter and call
-/// ReadMorsel concurrently (const state, thread-safe).
-class ScanOperator : public Operator {
+/// unit each — the work-stealing granularity of a Pipeline: its workers
+/// claim indexes from a shared atomic counter and call ReadMorsel
+/// concurrently (const state, thread-safe).
+class TableScan {
  public:
-  ScanOperator(ExecContext* ctx, const RelNode& node);
+  TableScan(ExecContext* ctx, const RelNode& node);
 
-  Status Open() override;
-  Result<RowBatch> Next(bool* done) override;
-  const Schema& schema() const override { return out_schema_; }
-
-  uint64_t row_groups_skipped() const { return row_groups_skipped_.load(); }
-  size_t partitions_scanned() const { return locations_.size(); }
+  Status Open();
+  const Schema& schema() const { return out_schema_; }
 
   /// Number of morsels enumerated by Open().
   size_t num_morsels() const { return morsels_.size(); }
   /// Reads one morsel and applies residual filters / runtime Blooms. Sets
   /// *skipped (returning an empty batch) when the sarg eliminates the row
-  /// group. Thread-safe after Open; does not touch rows_produced_.
+  /// group. Thread-safe after Open.
   Result<RowBatch> ReadMorsel(size_t index, bool* skipped);
   /// ReadMorsel wrapped in the task-attempt policy: a transient failure
   /// (flaky read, chunk checksum mismatch) re-runs the read up to
@@ -77,6 +74,7 @@ class ScanOperator : public Operator {
   Status EnumerateMorsels();
   Result<RowBatch> PostProcess(RowBatch raw, const Location& loc) const;
 
+  ExecContext* ctx_;
   TableDesc table_;
   std::vector<size_t> projected_;       // into FullSchema
   std::vector<ExprPtr> filters_;        // over output schema
@@ -95,10 +93,6 @@ class ScanOperator : public Operator {
   std::vector<Morsel> morsels_;
   /// Row-level Bloom filters from semijoin reducers: (output column, filter).
   std::vector<std::pair<int, std::shared_ptr<BloomFilter>>> runtime_blooms_;
-
-  // Serial iteration cursor (unused by parallel pipelines).
-  size_t next_morsel_ = 0;
-  std::atomic<uint64_t> row_groups_skipped_{0};
 };
 
 /// Literal rows.
@@ -115,37 +109,8 @@ class ValuesOperator : public Operator {
   bool emitted_ = false;
 };
 
-class FilterOperator : public Operator {
- public:
-  FilterOperator(ExecContext* ctx, OperatorPtr child, ExprPtr predicate);
-  Status Open() override { return child_->Open(); }
-  Result<RowBatch> Next(bool* done) override;
-  Status Close() override { return child_->Close(); }
-  const Schema& schema() const override { return child_->schema(); }
-
- private:
-  OperatorPtr child_;
-  ExprPtr predicate_;
-};
-
-class ProjectOperator : public Operator {
- public:
-  ProjectOperator(ExecContext* ctx, OperatorPtr child, std::vector<ExprPtr> exprs,
-                  Schema schema);
-  Status Open() override { return child_->Open(); }
-  Result<RowBatch> Next(bool* done) override;
-  Status Close() override { return child_->Close(); }
-  const Schema& schema() const override { return schema_; }
-
- private:
-  OperatorPtr child_;
-  std::vector<ExprPtr> exprs_;
-  Schema schema_;
-};
-
-/// Shared core of the hash-join operators (the serial HashJoinOperator and
-/// the morsel-parallel ParallelHashJoinOperator): equi-key extraction, the
-/// materialized build side, the flat open-addressing join table — built
+/// Core of HashJoinOperator: equi-key extraction, the materialized build
+/// side, the flat open-addressing join table — built
 /// hash-partitioned across the LLAP executor pool — the perfect-hash array
 /// for dense single-integer build domains, and batch-at-a-time probing.
 ///
@@ -209,8 +174,8 @@ class HashJoinCore {
   bool perfect_hash_engaged() const { return perfect_.engaged(); }
   /// Modeled probe CPU per row. A perfect-hash probe is one bounds check
   /// and an array load — half the modeled cost of the generic hash + chain
-  /// walk. Callers charge this per probed row (serial: every batch;
-  /// parallel: max over workers).
+  /// walk. The probe pipeline charges it per probed row, for its slowest
+  /// worker.
   int64_t probe_ns_per_row() const {
     const int64_t ns = ctx_->config->join_cpu_ns_per_row;
     return perfect_.engaged() ? (ns + 1) / 2 : ns;
@@ -284,15 +249,22 @@ class HashJoinCore {
 };
 
 /// Hash join supporting inner/left/full/semi/anti (+cross). Right joins are
-/// normalized to left joins by the compiler. Builds on the right input,
-/// probes with the left; equi-keys are extracted from the condition and the
-/// rest evaluates as a residual predicate per candidate pair. The probe
-/// (left) child opens lazily — only after the build side finalized — so
-/// build-side errors and deadline kills never touch the probe subtree.
+/// normalized to left joins by the compiler. Builds on the right input, then
+/// probes with the left: the probe side is a Pipeline whose final stage
+/// probes the built table, so a scan-rooted probe side runs on up to
+/// MaxWorkers() workers (ordered gather) and any other streams on one. Equi
+/// keys are extracted from the condition and the rest evaluates as a
+/// residual predicate per candidate pair. The probe pipeline opens only
+/// after the build side finalized, so build-side errors and deadline kills
+/// never touch it. FULL OUTER emits the unmatched build rows last; an
+/// over-budget build switches to the grace path, which routes the probe
+/// rows (one worker, input order) to spill partitions.
 class HashJoinOperator : public Operator {
  public:
-  HashJoinOperator(ExecContext* ctx, OperatorPtr left, OperatorPtr right,
-                   TableRef::JoinType join_type, ExprPtr condition, Schema schema);
+  HashJoinOperator(ExecContext* ctx, std::unique_ptr<Pipeline> probe,
+                   OperatorPtr build, TableRef::JoinType join_type,
+                   ExprPtr condition, Schema schema);
+  ~HashJoinOperator() override;
   Status Open() override;
   Result<RowBatch> Next(bool* done) override;
   Status Close() override;
@@ -301,19 +273,19 @@ class HashJoinOperator : public Operator {
   HashJoinCore* core() { return &core_; }
 
  private:
-  OperatorPtr left_;
-  OperatorPtr right_;
+  std::unique_ptr<Pipeline> probe_;
+  OperatorPtr build_;
   Schema schema_;
   HashJoinCore core_;
-  bool exhausted_left_ = false;
+  bool probe_done_ = false;
   bool emitted_unmatched_ = false;
   bool is_full_join_;
 };
 
 /// Mergeable grouped-aggregation state: the hash table of one aggregation
 /// fragment. Every supported accumulator (COUNT / SUM / AVG-as-sum+count /
-/// MIN / MAX / DISTINCT value sets) merges commutatively, so each parallel
-/// worker folds its morsels into a private instance and the coordinator
+/// MIN / MAX / DISTINCT value sets) merges commutatively, so each pipeline
+/// worker folds its units into a private instance and the coordinator
 /// merges them — the classic partial-aggregate exchange. Groups remember the
 /// sequence number of the first input row that created them; emission sorts
 /// by that, making output order deterministic and independent of how rows
@@ -468,14 +440,18 @@ class AggSpillSet {
 };
 
 /// Hash aggregation with optional DISTINCT aggregates; grouping-set
-/// expansion happens in the planner so this operator sees plain keys.
-/// Thin serial driver over GroupedAggState; a denied memory reservation
-/// flushes the state through AggSpillSet and merge-emits on Seal.
+/// expansion happens in the planner so this operator sees plain keys. Its
+/// input pipeline's workers each fold into a private GroupedAggState keyed
+/// by (unit, row) sequence numbers; the coordinator merges the partials and
+/// emits groups in first-seen input order, identical at any worker count. A
+/// denied memory reservation flushes that worker's partial through
+/// AggSpillSet, and emission then merges the spilled partitions.
 class HashAggregateOperator : public Operator {
  public:
-  HashAggregateOperator(ExecContext* ctx, OperatorPtr child,
+  HashAggregateOperator(ExecContext* ctx, std::unique_ptr<Pipeline> input,
                         std::vector<ExprPtr> keys, std::vector<AggCall> aggs,
                         Schema schema);
+  ~HashAggregateOperator() override;
   Status Open() override;
   Result<RowBatch> Next(bool* done) override;
   Status Close() override;
@@ -486,15 +462,16 @@ class HashAggregateOperator : public Operator {
  private:
   Status Consume();
 
-  OperatorPtr child_;
+  std::unique_ptr<Pipeline> input_;
   std::vector<ExprPtr> keys_;
   std::vector<AggCall> aggs_;
   Schema schema_;
-  GroupedAggState state_;
+  std::vector<std::unique_ptr<GroupedAggState>> partials_;  // one per worker
+  /// Per-worker reservations over the shared query budget.
+  std::vector<std::unique_ptr<MemoryReservation>> reservations_;
+  std::unique_ptr<AggSpillSet> spill_;
   size_t emit_index_ = 0;
   bool consumed_ = false;
-  MemoryReservation reservation_;
-  std::unique_ptr<AggSpillSet> spill_;  // created on first denied reservation
   obs::OperatorProfileNode* profile_node_ = nullptr;
 };
 

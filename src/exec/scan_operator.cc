@@ -85,8 +85,8 @@ bool ToSarg(const ExprPtr& e, const Schema& schema, SargPredicate* out) {
 
 }  // namespace
 
-ScanOperator::ScanOperator(ExecContext* ctx, const RelNode& node)
-    : Operator(ctx),
+TableScan::TableScan(ExecContext* ctx, const RelNode& node)
+    : ctx_(ctx),
       table_(node.table),
       projected_(node.projected),
       filters_(node.scan_filters),
@@ -95,7 +95,7 @@ ScanOperator::ScanOperator(ExecContext* ctx, const RelNode& node)
       partitions_pruned_(node.partitions_pruned),
       out_schema_(node.schema) {}
 
-Status ScanOperator::Open() {
+Status TableScan::Open() {
   // Resolve the data-column projection (partition columns are virtual).
   size_t data_width = table_.schema.num_fields();
   output_from_data_.assign(out_schema_.num_fields(), -1);
@@ -136,7 +136,7 @@ Status ScanOperator::Open() {
   return EnumerateMorsels();
 }
 
-Status ScanOperator::RunSemiJoinReducers() {
+Status TableScan::RunSemiJoinReducers() {
   for (const SemiJoinReducer& reducer : reducers_) {
     if (!ctx_->compile_subplan) break;
     HIVE_ASSIGN_OR_RETURN(OperatorPtr build_op, ctx_->compile_subplan(reducer.build_plan));
@@ -197,9 +197,9 @@ Status ScanOperator::RunSemiJoinReducers() {
   return Status::OK();
 }
 
-Status ScanOperator::EnumerateMorsels() {
+Status TableScan::EnumerateMorsels() {
   // Plan every location up front and flatten the scan into (location, file,
-  // row group) morsels — the shared work queue of the parallel layer. Only
+  // row group) morsels — the shared work queue of a pipeline. Only
   // footers are touched here; data chunks are read morsel by morsel.
   location_states_.resize(locations_.size());
   for (size_t l = 0; l < locations_.size(); ++l) {
@@ -241,7 +241,7 @@ Status ScanOperator::EnumerateMorsels() {
   return Status::OK();
 }
 
-Result<RowBatch> ScanOperator::PostProcess(RowBatch raw, const Location& loc) const {
+Result<RowBatch> TableScan::PostProcess(RowBatch raw, const Location& loc) const {
   // Assemble the output batch: data columns by position, partition columns
   // as broadcast constants.
   RowBatch out(out_schema_);
@@ -289,14 +289,13 @@ Result<RowBatch> ScanOperator::PostProcess(RowBatch raw, const Location& loc) co
   return out;
 }
 
-Result<RowBatch> ScanOperator::ReadMorsel(size_t index, bool* skipped) {
+Result<RowBatch> TableScan::ReadMorsel(size_t index, bool* skipped) {
   *skipped = false;
   const Morsel& m = morsels_[index];
   const Location& loc = locations_[m.location];
   const LocationState& state = location_states_[m.location];
   const std::shared_ptr<CofReader>& reader = state.files[m.file];
   if (!reader->MightMatch(m.row_group, sarg_)) {
-    row_groups_skipped_.fetch_add(1, std::memory_order_relaxed);
     *skipped = true;
     return RowBatch();
   }
@@ -320,12 +319,12 @@ Result<RowBatch> ScanOperator::ReadMorsel(size_t index, bool* skipped) {
   return PostProcess(std::move(raw), loc);
 }
 
-Result<RowBatch> ScanOperator::ReadMorselWithRetry(size_t index, bool* skipped) {
+Result<RowBatch> TableScan::ReadMorselWithRetry(size_t index, bool* skipped) {
   return RunTaskAttempts(ctx_->config, ctx_->clock, ctx_->runtime_stats,
                          [&] { return ReadMorsel(index, skipped); });
 }
 
-void ScanOperator::PrefetchMorsel(size_t index) const {
+void TableScan::PrefetchMorsel(size_t index) const {
   if (!ctx_->prefetch_chunk || index >= morsels_.size()) return;
   const Morsel& m = morsels_[index];
   const LocationState& state = location_states_[m.location];
@@ -339,28 +338,6 @@ void ScanOperator::PrefetchMorsel(size_t index) const {
   } else {
     for (size_t c : data_columns_)
       ctx_->prefetch_chunk(reader, m.row_group, c);
-  }
-}
-
-Result<RowBatch> ScanOperator::Next(bool* done) {
-  *done = false;
-  for (;;) {
-    HIVE_RETURN_IF_ERROR(CheckCancelled());
-    if (next_morsel_ >= morsels_.size()) {
-      *done = true;
-      return RowBatch();
-    }
-    bool skipped = false;
-    HIVE_ASSIGN_OR_RETURN(RowBatch batch,
-                          ReadMorselWithRetry(next_morsel_++, &skipped));
-    if (skipped) continue;
-    // Serial scan: every row's modeled CPU cost lands on the critical path
-    // (the parallel driver charges only its slowest worker instead).
-    if (ctx_->clock)
-      ctx_->clock->Charge(static_cast<int64_t>(batch.num_rows()) *
-                          ctx_->config->scan_cpu_ns_per_row / 1000);
-    rows_produced_ += static_cast<int64_t>(batch.SelectedSize());
-    return batch;
   }
 }
 

@@ -102,13 +102,14 @@ ValidWriteIdList TransactionManager::GetValidWriteIds(const std::string& table,
   }
   // Exceptions: write ids at or below the hwm whose txn the snapshot does
   // not see (open or aborted at snapshot time, or started later). Ids whose
-  // transaction is STILL open now are flagged separately so the compactor
-  // never spans them.
+  // transaction has not aborted are flagged separately so the compactor
+  // never spans them: still open, or committed since the snapshot was
+  // taken — either way their delta holds rows that must survive.
   for (const auto& [txn_id, wid] : it->second) {
     if (wid <= out.high_watermark && !snapshot.Sees(txn_id)) {
       out.exceptions.insert(wid);
       auto txn = txns_.find(txn_id);
-      if (txn != txns_.end() && txn->second.state == TxnState::kOpen)
+      if (txn == txns_.end() || txn->second.state != TxnState::kAborted)
         out.open_writes.insert(wid);
     }
   }

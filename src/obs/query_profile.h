@@ -19,8 +19,8 @@ namespace obs {
 /// spent, and virtual microseconds of modeled cluster latency (container
 /// start-up, shuffle, injected faults, modeled scan CPU).
 struct OperatorProfileNode {
-  std::string name;    // operator kind: "Scan", "HashJoin", "ParallelAgg", ...
-  std::string detail;  // e.g. table name, join type, "parallel x4"
+  std::string name;    // operator kind: "Scan", "Filter", "HashJoin", ...
+  std::string detail;  // e.g. table name, join type, "spooled"
   /// Blocking operators materialize their input before emitting (join
   /// build, aggregation, sort, window): their memory peak is the bytes they
   /// held, while streaming operators only ever hold one batch.
@@ -100,8 +100,8 @@ class QueryProfile {
 };
 
 // The well-known per-query counter names live in obs/metric_names.h with
-// every other metric name; qc is an alias of that registry (kept for the
-// server, the deprecated QueryResult accessors and tests).
+// every other metric name; qc is an alias of that registry (used by the
+// server and tests).
 
 }  // namespace obs
 }  // namespace hive

@@ -105,10 +105,6 @@ Connection HiveServer2::Connect(const std::string& application) {
   return connections_.Connect(application, default_config_);
 }
 
-Session* HiveServer2::OpenSession(const std::string& application) {
-  return connections_.OpenUnowned(application, default_config_);
-}
-
 Result<QueryResult> HiveServer2::ExecuteOn(Session* session, const std::string& sql) {
   HIVE_RETURN_IF_ERROR(session->BeginStatement());
   Result<QueryResult> result = Status::OK();

@@ -64,7 +64,6 @@ std::string PlanCache::ConfigFingerprint(const Config& config) {
   fp += config.dynamic_partition_pruning_enabled ? '1' : '0';
   fp += config.materialized_view_rewriting_enabled ? '1' : '0';
   fp += config.legacy_sql_only ? '1' : '0';
-  fp += config.parallel_join_enabled ? '1' : '0';
   fp += config.perfect_hash_join_enabled ? '1' : '0';
   fp += ':';
   fp += std::to_string(config.join_reorder_max_relations);

@@ -25,11 +25,12 @@ struct ValidWriteIdList {
   int64_t high_watermark = 0;
   /// WriteIds <= high_watermark that are open or aborted.
   std::set<int64_t> exceptions;
-  /// The subset of `exceptions` whose transactions are still OPEN (may yet
-  /// commit). Readers treat both alike; the compactor must never produce a
-  /// base/delta whose range spans an open id (its data would be orphaned
-  /// when the transaction commits), while aborted ids are safe to compact
-  /// away — that is how "major compaction deletes history".
+  /// The subset of `exceptions` whose transactions did not abort: still
+  /// OPEN (may yet commit) or committed after the snapshot was taken.
+  /// Readers treat both alike; the compactor must never produce a
+  /// base/delta whose range spans such an id (its data would be orphaned),
+  /// while aborted ids are safe to compact away — that is how "major
+  /// compaction deletes history".
   std::set<int64_t> open_writes;
 
   bool IsValid(int64_t write_id) const {

@@ -40,6 +40,17 @@ TEST(ValueTest, CompareNumericCrossKind) {
   EXPECT_EQ(Value::Compare(Value::Decimal(200, 2), Value::Bigint(2)), 0);
 }
 
+TEST(ValueTest, DecimalEqualsFractionalDoubleLiteral) {
+  // DECIMAL(7,2) 8.43 / 11.11 against the DOUBLE literals 8.43 / 11.11,
+  // whose nearest doubles lie just below the exact decimals.
+  EXPECT_EQ(Value::Compare(Value::Decimal(843, 2), Value::Double(8.43)), 0);
+  EXPECT_EQ(Value::Compare(Value::Double(11.11), Value::Decimal(1111, 2)), 0);
+  EXPECT_LT(Value::Compare(Value::Decimal(842, 2), Value::Double(8.43)), 0);
+  EXPECT_GT(Value::Compare(Value::Decimal(844, 2), Value::Double(8.43)), 0);
+  // Equal values hash equal (hash-join and GROUP BY contract).
+  EXPECT_EQ(Value::Decimal(843, 2).Hash(), Value::Double(8.43).Hash());
+}
+
 TEST(ValueTest, NullOrdering) {
   EXPECT_LT(Value::Compare(Value::Null(), Value::Bigint(-100)), 0);
   EXPECT_EQ(Value::Compare(Value::Null(), Value::Null()), 0);

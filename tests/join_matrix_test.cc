@@ -7,6 +7,7 @@
 #include "fs/fault_injection.h"
 #include "fs/mem_filesystem.h"
 #include "llap/daemon.h"
+#include "pinned_rows.h"
 #include "server/hive_server.h"
 #include "server/workload_loader.h"
 
@@ -14,11 +15,10 @@ namespace hive {
 namespace {
 
 /// The join matrix: every join shape the flat-hash engine supports, asserted
-/// byte-identical across the serial operator, the morsel-parallel operator at
-/// every executor count, the perfect-hash and generic table variants, and a
-/// seeded fault schedule. The serial engine with parallel join and perfect
-/// hash both disabled is the reference — the slow, boring path every
-/// optimization must reproduce row for row.
+/// byte-identical across executor counts (1 is serial execution), the
+/// perfect-hash and generic table variants, the MR engine and a seeded
+/// fault schedule. The reference is the pinned result of the serial
+/// operator chain (tests/data/pinned_rows.txt), not any live configuration.
 class JoinMatrixTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -47,27 +47,20 @@ class JoinMatrixTest : public ::testing::Test {
     if (server_->llap()) server_->llap()->cache()->Clear();
   }
 
-  /// Reference session: serial engine, flat table but no parallel build,
-  /// no perfect hash — the baseline all variants must match.
-  static Connection BaselineSession() {
-    Connection session = server_->Connect();
-    session.config().result_cache_enabled = false;
-    session.config().parallel_scan_enabled = false;
-    session.config().parallel_join_enabled = false;
-    session.config().perfect_hash_join_enabled = false;
-    return session;
-  }
-
-  /// Session configured for a given worker count (0 = serial engine).
+  /// Session configured for a given worker count.
   static Connection SessionFor(int workers, bool perfect_hash = true) {
     Connection session = server_->Connect();
     session.config().result_cache_enabled = false;
     session.config().perfect_hash_join_enabled = perfect_hash;
-    if (workers == 0) {
-      session.config().parallel_scan_enabled = false;
-    } else {
-      session.config().num_executors = workers;
-    }
+    session.config().num_executors = workers;
+    return session;
+  }
+
+  /// MapReduce emulation: no LLAP, no executor pool, so one worker.
+  static Connection MrSession() {
+    Connection session = SessionFor(8);
+    session.config().execution_engine = "mr";
+    session.config().llap_enabled = false;
     return session;
   }
 
@@ -85,26 +78,26 @@ class JoinMatrixTest : public ::testing::Test {
     return out;
   }
 
-  /// Runs `sql` on the baseline session and on every engine variant,
-  /// asserting byte-identical rows everywhere.
-  void ExpectIdenticalEverywhere(const std::string& name,
-                                 const std::string& sql) {
-    Connection baseline_conn = BaselineSession();
-    auto baseline = baseline_conn.Execute(sql);
-    ASSERT_TRUE(baseline.ok()) << name << ": " << baseline.status().ToString();
-    const std::vector<std::string> expected = Rows(*baseline);
-    for (int workers : {0, 1, 2, 4, 8}) {
+  /// Runs `sql` on every engine variant, asserting each matches the pinned
+  /// serial result.
+  void ExpectPinnedEverywhere(const std::string& name, const std::string& sql) {
+    const std::string expected = pinned::Expected("join_matrix/" + name);
+    for (int workers : {1, 2, 4, 8}) {
       for (bool perfect : {false, true}) {
         Connection conn = SessionFor(workers, perfect);
         auto result = conn.Execute(sql);
         ASSERT_TRUE(result.ok()) << name << " @" << workers
                                  << (perfect ? "/ph" : "") << ": "
                                  << result.status().ToString();
-        EXPECT_EQ(Rows(*result), expected)
+        EXPECT_EQ(pinned::Fingerprint(Rows(*result)), expected)
             << name << " differs at " << workers << " executors"
             << (perfect ? " with perfect hash" : "");
       }
     }
+    Connection mr = MrSession();
+    auto result = mr.Execute(sql);
+    ASSERT_TRUE(result.ok()) << name << " @mr: " << result.status().ToString();
+    EXPECT_EQ(pinned::Fingerprint(Rows(*result)), expected) << name << " differs on mr";
   }
 
   static MemFileSystem* mem_;
@@ -177,7 +170,7 @@ const MatrixQuery kMatrix[] = {
 
 TEST_F(JoinMatrixTest, MatrixByteIdenticalAcrossEngines) {
   for (const MatrixQuery& q : kMatrix) {
-    ExpectIdenticalEverywhere(q.name, q.sql);
+    ExpectPinnedEverywhere(q.name, q.sql);
   }
 }
 
@@ -217,13 +210,6 @@ TEST_F(JoinMatrixTest, GenericTableHandlesDuplicateKeys) {
 TEST_F(JoinMatrixTest, MatrixSurvivesFaultSeeds) {
   // A seeded schedule of transient read errors and stragglers must never
   // change join results: retries and speculation absorb the faults.
-  std::vector<std::vector<std::string>> expected;
-  for (const MatrixQuery& q : kMatrix) {
-    Connection conn = SessionFor(8);
-    auto r = conn.Execute(q.sql);
-    ASSERT_TRUE(r.ok()) << q.name << ": " << r.status().ToString();
-    expected.push_back(Rows(*r));
-  }
   for (uint64_t seed : {7u, 23u, 101u}) {
     faults_->ClearRules();
     faults_->ResetSchedule();
@@ -235,15 +221,14 @@ TEST_F(JoinMatrixTest, MatrixSurvivesFaultSeeds) {
     rule.latency_us = 40000;
     faults_->AddRule(rule);
     if (server_->llap()) server_->llap()->cache()->Clear();
-    size_t i = 0;
     for (const MatrixQuery& q : kMatrix) {
       Connection conn = SessionFor(8);
-    auto r = conn.Execute(q.sql);
+      auto r = conn.Execute(q.sql);
       ASSERT_TRUE(r.ok()) << q.name << " seed " << seed << ": "
                           << r.status().ToString();
-      EXPECT_EQ(Rows(*r), expected[i])
+      EXPECT_EQ(pinned::Fingerprint(Rows(*r)),
+                pinned::Expected(std::string("join_matrix/") + q.name))
           << q.name << " changed under fault seed " << seed;
-      ++i;
     }
   }
 }

@@ -157,6 +157,34 @@ TEST(TxnTest, ValidWriteIdsFollowTxnVisibility) {
   EXPECT_TRUE(wids.IsValid(3));
 }
 
+TEST(TxnTest, WriteCommittedAfterSnapshotIsNeverCompactedAway) {
+  // A compactor's snapshot may see a write id's transaction open, and the
+  // transaction may commit before the write-id list is derived. That id is
+  // invisible to the snapshot but its rows are committed: it must be
+  // flagged like an open write, or a major compaction past it drops them.
+  TransactionManager txns;
+  int64_t t1 = txns.OpenTxn();
+  ASSERT_TRUE(txns.AllocateWriteId(t1, "default.a").ok());  // wid 1
+  int64_t t2 = txns.OpenTxn();
+  ASSERT_TRUE(txns.AllocateWriteId(t2, "default.a").ok());  // wid 2
+  ASSERT_TRUE(txns.CommitTxn(t2).ok());
+  TxnSnapshot snap = txns.GetSnapshot();  // t1 still open
+  ASSERT_TRUE(txns.CommitTxn(t1).ok());
+  int64_t t3 = txns.OpenTxn();
+  ASSERT_TRUE(txns.AllocateWriteId(t3, "default.a").ok());  // wid 3
+  ASSERT_TRUE(txns.AbortTxn(t3).ok());
+  TxnSnapshot after = txns.GetSnapshot();
+
+  ValidWriteIdList wids = txns.GetValidWriteIds("default.a", snap);
+  EXPECT_EQ(wids.high_watermark, 2);
+  EXPECT_FALSE(wids.IsValid(1)) << "committed after the snapshot: invisible";
+  EXPECT_EQ(wids.open_writes, std::set<int64_t>{1}) << "but never compacted away";
+  ValidWriteIdList later = txns.GetValidWriteIds("default.a", after);
+  EXPECT_TRUE(later.IsValid(1));
+  EXPECT_FALSE(later.IsValid(3));
+  EXPECT_TRUE(later.open_writes.empty()) << "aborted history may be erased";
+}
+
 TEST(TxnTest, FirstCommitWinsOnUpdateConflict) {
   TransactionManager txns;
   int64_t t1 = txns.OpenTxn();

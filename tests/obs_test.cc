@@ -319,6 +319,56 @@ TEST_F(ObsEndToEndTest, ShowMetricsReflectsLlapCacheAcrossWarmRerun) {
   EXPECT_GT(MetricRow(*warm, "server.queries"), 0);
 }
 
+/// Pre-order (depth, name, rows) outline of a span tree.
+void Outline(const obs::OperatorProfileNode& node, int depth,
+             std::vector<std::string>* out) {
+  out->push_back(std::string(static_cast<size_t>(depth) * 2, ' ') + node.name +
+                 " rows=" + std::to_string(node.rows_out));
+  for (const auto& c : node.children) Outline(*c, depth + 1, out);
+}
+
+const obs::OperatorProfileNode* FindNode(const obs::OperatorProfileNode& node,
+                                         const std::string& name) {
+  if (node.name == name) return &node;
+  for (const auto& c : node.children)
+    if (const obs::OperatorProfileNode* hit = FindNode(*c, name)) return hit;
+  return nullptr;
+}
+
+TEST_F(ObsEndToEndTest, ExplainAnalyzeKeepsOneNodePerPlanNodeInsidePipelines) {
+  // Scans, filters and projections run as stages of a pipeline, possibly
+  // on several workers, yet EXPLAIN ANALYZE keeps one span per plan node
+  // and each reports its rows summed over workers: the outline is the same
+  // at one worker (serial) and at four.
+  for (const BenchQuery& q : TpcdsQueries()) {
+    std::vector<std::string> outlines[2];
+    for (int i = 0; i < 2; ++i) {
+      Connection session = server_->Connect();
+      session.config().result_cache_enabled = false;
+      session.config().num_executors = i == 0 ? 1 : 4;
+      auto result = session.Execute(q.sql);
+      ASSERT_TRUE(result.ok()) << q.name << ": " << result.status().ToString();
+      for (const auto& root : result->profile().roots())
+        Outline(*root, 0, &outlines[i]);
+    }
+    EXPECT_EQ(outlines[0], outlines[1]) << q.name;
+  }
+
+  // q07 joins the store_sales fact table (probe side) with item: its join
+  // span lists both inputs, the probe-side scan included.
+  Connection session = server_->Connect();
+  session.config().result_cache_enabled = false;
+  auto result = session.Execute(TpcdsQueries()[1].sql);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const obs::OperatorProfileNode* join = FindNode(*result->profile().root(), "HashJoin");
+  ASSERT_NE(join, nullptr);
+  ASSERT_EQ(join->children.size(), 2u);
+  EXPECT_EQ(join->children[0]->name, "Scan");
+  EXPECT_EQ(join->children[0]->detail, "default.store_sales");
+  EXPECT_GT(join->children[0]->rows_out, 0);
+  EXPECT_EQ(join->children[1]->detail, "default.item,spooled");
+}
+
 TEST_F(ObsEndToEndTest, ExecuteScriptReturnsEveryStatementsResult) {
   Connection session = server_->Connect();
   auto results = session.ExecuteScript("SELECT 1; SELECT 2; SELECT 3");

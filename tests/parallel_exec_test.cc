@@ -12,6 +12,7 @@
 #include "common/thread_pool.h"
 #include "exec/exec_context.h"
 #include "fs/mem_filesystem.h"
+#include "pinned_rows.h"
 #include "server/hive_server.h"
 #include "server/workload_loader.h"
 
@@ -19,9 +20,10 @@ namespace hive {
 namespace {
 
 /// Morsel-driven intra-query parallelism: the engine must return the same
-/// result at any executor count — parallel scans use an ordered (by-morsel)
-/// gather and partial aggregates merge in first-seen input order, so the
-/// output is not merely set-equal but identical row for row.
+/// result at any executor count — pipelines gather their output in morsel
+/// order and partial aggregates merge in first-seen input order, so the
+/// output is not merely set-equal but identical row for row to the pinned
+/// result of the serial operator chain (tests/data/pinned_rows.txt).
 class ParallelExecTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -40,32 +42,6 @@ class ParallelExecTest : public ::testing::Test {
     delete fs_;
   }
 
-  /// Session configured for a given worker count (0 = serial engine).
-  Connection SessionFor(int workers) {
-    Connection session = server_->Connect();
-    session.config().result_cache_enabled = false;
-    if (workers == 0) {
-      session.config().parallel_scan_enabled = false;
-    } else {
-      session.config().num_executors = workers;
-    }
-    return session;
-  }
-
-  static std::vector<std::string> Rows(const QueryResult& result) {
-    std::vector<std::string> out;
-    out.reserve(result.rows.size());
-    for (const auto& row : result.rows) {
-      std::string line;
-      for (const Value& v : row) {
-        line += v.ToString();
-        line += '|';
-      }
-      out.push_back(std::move(line));
-    }
-    return out;
-  }
-
   static MemFileSystem* fs_;
   static HiveServer2* server_;
 };
@@ -73,47 +49,92 @@ class ParallelExecTest : public ::testing::Test {
 MemFileSystem* ParallelExecTest::fs_ = nullptr;
 HiveServer2* ParallelExecTest::server_ = nullptr;
 
-TEST_F(ParallelExecTest, TpcdsIdenticalAcrossExecutorCounts) {
-  Connection serial = SessionFor(0);
-  for (const BenchQuery& q : TpcdsQueries()) {
-    auto baseline = serial.Execute(q.sql);
-    ASSERT_TRUE(baseline.ok()) << q.name << ": " << baseline.status().ToString();
-    std::vector<std::string> expected = Rows(*baseline);
-    for (int workers : {1, 2, 8}) {
-      Connection session = SessionFor(workers);
+/// Session configured for a given worker count: 1 is serial execution, and
+/// 0 stands for the MR engine (no LLAP, no executor pool: one worker).
+Connection SessionFor(HiveServer2* server, int workers) {
+  Connection session = server->Connect();
+  session.config().result_cache_enabled = false;
+  if (workers == 0) {
+    session.config().execution_engine = "mr";
+    session.config().llap_enabled = false;
+  } else {
+    session.config().num_executors = workers;
+  }
+  return session;
+}
+
+std::string Fingerprint(const QueryResult& result) {
+  std::vector<std::string> rows;
+  rows.reserve(result.rows.size());
+  for (const auto& row : result.rows) {
+    std::string line;
+    for (const Value& v : row) {
+      line += v.ToString();
+      line += '|';
+    }
+    rows.push_back(std::move(line));
+  }
+  return pinned::Fingerprint(rows);
+}
+
+/// Runs every query of `queries` at each executor count and on the MR
+/// engine, asserting the pinned result `<suite>/<query name>` everywhere.
+void ExpectPinnedAtEveryWorkerCount(HiveServer2* server, const std::string& suite,
+                                    const std::vector<BenchQuery>& queries) {
+  for (const BenchQuery& q : queries) {
+    const std::string expected = pinned::Expected(suite + "/" + q.name);
+    for (int workers : {0, 1, 2, 8}) {
+      Connection session = SessionFor(server, workers);
       auto result = session.Execute(q.sql);
       ASSERT_TRUE(result.ok())
           << q.name << " @" << workers << ": " << result.status().ToString();
-      EXPECT_EQ(Rows(*result), expected)
-          << q.name << " differs at " << workers << " executors";
+      EXPECT_EQ(Fingerprint(*result), expected)
+          << q.name << " differs at " << (workers ? std::to_string(workers) : "mr")
+          << " executors";
     }
   }
 }
 
+TEST_F(ParallelExecTest, TpcdsIdenticalAcrossExecutorCounts) {
+  ExpectPinnedAtEveryWorkerCount(server_, "tpcds_days6", TpcdsQueries());
+}
+
 TEST_F(ParallelExecTest, UnorderedScanPreservesSerialRowOrder) {
   // No ORDER BY: the ordered morsel gather must still reproduce the serial
-  // engine's row order exactly, at every worker count.
-  const std::string sql =
-      "SELECT ss_item_sk, ss_quantity, ss_sales_price FROM store_sales "
-      "WHERE ss_quantity > 10";
-  Connection serial = SessionFor(0);
-  auto baseline = serial.Execute(sql);
-  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-  ASSERT_GT(baseline->rows.size(), 0u);
-  for (int workers : {1, 2, 8}) {
-    Connection session = SessionFor(workers);
-    auto result = session.Execute(sql);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_EQ(Rows(*result), Rows(*baseline))
-        << "row order diverged at " << workers << " executors";
-  }
+  // engine's row order exactly, and aggregates their first-seen group order
+  // (over a scan, and over a join), at every worker count.
+  ExpectPinnedAtEveryWorkerCount(
+      server_, "parallel_exec",
+      {{"unordered_scan",
+        "SELECT ss_item_sk, ss_quantity, ss_sales_price FROM store_sales "
+        "WHERE ss_quantity > 10"},
+       {"unordered_agg",
+        "SELECT ss_store_sk, ss_item_sk % 7 AS bucket, COUNT(*), "
+        "SUM(ss_quantity) FROM store_sales GROUP BY ss_store_sk, ss_item_sk % 7"},
+       {"unordered_join_agg",
+        "SELECT i_brand, COUNT(*), SUM(ss_sales_price) FROM store_sales, item "
+        "WHERE ss_item_sk = i_item_sk GROUP BY i_brand"}});
+}
+
+TEST(SsbParallelExecTest, SsbIdenticalAcrossExecutorCounts) {
+  // SSB's joins stack on joins and its dimensions are spooled, so most of
+  // its probes and aggregates read operator sources on one worker while
+  // the lineorder leaves fan out: both kinds of pipeline source, pinned.
+  MemFileSystem fs;
+  Config config;
+  config.container_startup_us = 0;
+  config.num_executors = 8;
+  HiveServer2 server(&fs, config);
+  Connection loader = server.Connect();
+  ASSERT_TRUE(LoadSsb(loader, SsbOptions()).ok());
+  ExpectPinnedAtEveryWorkerCount(&server, "ssb", SsbQueries());
 }
 
 TEST_F(ParallelExecTest, ScanPipelinesFanOutAcrossExecutors) {
   // A parallel aggregation over the partitioned fact table must actually
   // fan worker fragments out to the LLAP executor pool (the coordinator
   // fragment alone would leave the counter at +1).
-  Connection session = SessionFor(8);
+  Connection session = SessionFor(server_, 8);
   int64_t before = server_->llap()->fragments_submitted();
   auto result = session.Execute("SELECT ss_store_sk, COUNT(*), SUM(ss_quantity) FROM store_sales "
       "GROUP BY ss_store_sk");

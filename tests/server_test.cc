@@ -42,6 +42,23 @@ TEST_F(ServerTest, CreateInsertSelectRoundTrip) {
   EXPECT_EQ(select.rows[1][2].ToString(), "2.25");
 }
 
+TEST_F(ServerTest, DecimalComparisonsAgainstFractionalLiterals) {
+  // Row-group sargs, IN and BETWEEN compare through Value::Compare while
+  // vectorized = / <= compare in double; all must agree on the bounds.
+  Run("CREATE TABLE prices (id INT, price DECIMAL(7,2))");
+  Run("INSERT INTO prices VALUES (1, 11.11), (2, 8.43)");
+  auto count = [&](const std::string& where) {
+    QueryResult r = Run("SELECT COUNT(*) FROM prices WHERE " + where);
+    return r.rows.empty() ? -1 : r.rows[0][0].i64();
+  };
+  EXPECT_EQ(count("price = 8.43"), 1);
+  EXPECT_EQ(count("price IN (8.43, 11.11)"), 2);
+  EXPECT_EQ(count("price BETWEEN 8.43 AND 11.11"), 2);
+  EXPECT_EQ(count("price >= 8.43 AND price <= 11.11"), 2);
+  EXPECT_EQ(count("price > 8.43"), 1);
+  EXPECT_EQ(count("price < 11.11"), 1);
+}
+
 TEST_F(ServerTest, InsertSelectAndCtas) {
   Run("CREATE TABLE src (a INT)");
   Run("INSERT INTO src VALUES (1), (2), (3)");
@@ -790,19 +807,6 @@ TEST_F(ServerTest, PreparedStatementLifecycleErrors) {
   ASSERT_FALSE(foreign.ok());
   EXPECT_EQ(foreign.status().code(), StatusCode::kNotFound);
 }
-
-// One-PR compatibility shim: the deprecated OpenSession path must keep
-// working for out-of-tree callers until the next release.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST_F(ServerTest, DeprecatedOpenSessionStillExecutes) {
-  Session* legacy = server_->OpenSession("legacy_app");
-  ASSERT_NE(legacy, nullptr);
-  auto r = server_->Execute(legacy, "SELECT 1");
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r->rows[0][0].ToString(), "1");
-}
-#pragma GCC diagnostic pop
 
 }  // namespace
 }  // namespace hive

@@ -9,6 +9,7 @@
 #include "exec/spill.h"
 #include "fs/fault_injection.h"
 #include "fs/mem_filesystem.h"
+#include "pinned_rows.h"
 #include "server/hive_server.h"
 
 namespace hive {
@@ -294,11 +295,16 @@ class SpillEndToEndTest : public ::testing::Test {
     exec1_ = new Cluster(1);
     exec8_ = new Cluster(8);
     baseline_ = new std::vector<std::vector<std::string>>();
+    // The unlimited single-executor run is the baseline every rung is
+    // compared with; it must itself match the serial operator chain's
+    // pinned results (tests/data/pinned_rows.txt).
     Connection session = exec1_->NewSession(0);
     for (const auto& [name, sql] : MatrixQueries()) {
       auto result = session.Execute(sql);
       ASSERT_TRUE(result.ok()) << name << ": " << result.status().ToString();
       baseline_->push_back(Rows(*result));
+      EXPECT_EQ(pinned::Fingerprint(baseline_->back()),
+                pinned::Expected("spill/" + name));
     }
   }
   static void TearDownTestSuite() {
@@ -316,13 +322,18 @@ class SpillEndToEndTest : public ::testing::Test {
     }
   }
 
-  /// Runs the matrix on `cluster` under `budget` and asserts byte-identity
-  /// with the unlimited single-executor baseline.
-  void RunMatrix(Cluster* cluster, int64_t budget) {
+  /// Runs the matrix on `cluster` under `budget` (on the MR engine when
+  /// `mr`) and asserts byte-identity with the unlimited single-executor
+  /// baseline.
+  void RunMatrix(Cluster* cluster, int64_t budget, bool mr = false) {
     Connection session = cluster->NewSession(budget);
+    if (mr) {
+      session.config().execution_engine = "mr";
+      session.config().llap_enabled = false;
+    }
     size_t i = 0;
     for (const auto& [name, sql] : MatrixQueries()) {
-      SCOPED_TRACE(name + " @budget=" + std::to_string(budget));
+      SCOPED_TRACE(name + " @budget=" + std::to_string(budget) + (mr ? " mr" : ""));
       auto result = session.Execute(sql);
       ASSERT_TRUE(result.ok()) << result.status().ToString();
       EXPECT_EQ(Rows(*result), (*baseline_)[i]) << "diverged from baseline";
@@ -345,6 +356,7 @@ TEST_F(SpillEndToEndTest, BudgetLadderIsByteIdenticalAtBothExecutorCounts) {
   for (Cluster* cluster : {exec1_, exec8_}) {
     for (int64_t budget : {int64_t{0}, int64_t{64 * 1024}, int64_t{16 * 1024}}) {
       RunMatrix(cluster, budget);
+      RunMatrix(cluster, budget, /*mr=*/true);
     }
   }
   EXPECT_GT(exec1_->Metric("exec.spill.bytes"), spilled_before)
