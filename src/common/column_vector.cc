@@ -97,6 +97,44 @@ void ColumnVector::AppendFrom(const ColumnVector& src, size_t i) {
   }
 }
 
+namespace {
+
+/// Gathers `rows` of `from` onto the end of `dst`; `valid` receives the
+/// validity bytes (0 for negative indexes and NULL source rows, whose slot
+/// holds a default value as AppendNull leaves it).
+template <typename T>
+void GatherInto(std::vector<T>* dst, const std::vector<T>& from,
+                const uint8_t* src_valid, const int32_t* rows, size_t n,
+                uint8_t* valid) {
+  const size_t base = dst->size();
+  dst->resize(base + n);
+  T* out = dst->data() + base;
+  for (size_t k = 0; k < n; ++k) {
+    const int32_t r = rows[k];
+    if (r >= 0 && src_valid[r]) {
+      valid[k] = 1;
+      out[k] = from[static_cast<size_t>(r)];
+    } else {
+      valid[k] = 0;
+    }
+  }
+}
+
+}  // namespace
+
+void ColumnVector::AppendGather(const ColumnVector& src, const int32_t* rows,
+                                size_t n) {
+  const size_t base = nulls_.size();
+  nulls_.resize(base + n);
+  uint8_t* valid = nulls_.data() + base;
+  const uint8_t* src_valid = src.nulls_.data();
+  switch (type_.kind) {
+    case TypeKind::kDouble: GatherInto(&f64_, src.f64_, src_valid, rows, n, valid); break;
+    case TypeKind::kString: GatherInto(&str_, src.str_, src_valid, rows, n, valid); break;
+    default: GatherInto(&i64_, src.i64_, src_valid, rows, n, valid); break;
+  }
+}
+
 size_t ColumnVector::ByteSize() const {
   size_t n = nulls_.size() + i64_.size() * 8 + f64_.size() * 8;
   for (const auto& s : str_) n += s.size() + 16;
@@ -126,13 +164,29 @@ void RowBatch::ClearSelection() {
 
 void RowBatch::Flatten() {
   if (!has_selection_) return;
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    auto dense = std::make_shared<ColumnVector>(columns_[c]->type());
-    for (int32_t row : selection_) dense->AppendFrom(*columns_[c], row);
-    columns_[c] = dense;
+  for (ColumnVectorPtr& col : columns_) {
+    auto dense = std::make_shared<ColumnVector>(col->type());
+    dense->AppendGather(*col, selection_.data(), selection_.size());
+    col = std::move(dense);
   }
   num_rows_ = selection_.size();
   ClearSelection();
+}
+
+void RowBatch::AppendRows(const RowBatch& src, const int32_t* rows, size_t n) {
+  for (size_t c = 0; c < columns_.size(); ++c)
+    columns_[c]->AppendGather(*src.columns_[c], rows, n);
+  num_rows_ += n;
+}
+
+void RowBatch::AppendSelected(const RowBatch& src) {
+  if (src.has_selection_) {
+    AppendRows(src, src.selection_.data(), src.selection_.size());
+    return;
+  }
+  std::vector<int32_t> all(src.num_rows_);
+  for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int32_t>(i);
+  AppendRows(src, all.data(), all.size());
 }
 
 std::vector<Value> RowBatch::GetRow(size_t i) const {

@@ -41,8 +41,15 @@ class ColumnVector {
   void AppendStr(std::string v);
   void AppendValue(const Value& v);
 
-  /// Appends row `i` of `src` (same type) to this vector.
+  /// Appends row `i` of `src` (same type) to this vector. For rows that
+  /// arrive one at a time from different vectors (k-way merges); bulk copies
+  /// use AppendGather.
   void AppendFrom(const ColumnVector& src, size_t i);
+
+  /// Appends rows `rows[0..n)` of `src` (same type, not this vector) in
+  /// order; a negative index appends NULL. Equal to an AppendFrom/AppendNull
+  /// loop, with one type dispatch per call instead of per row.
+  void AppendGather(const ColumnVector& src, const int32_t* rows, size_t n);
 
   /// Raw buffers for the vectorized kernels.
   std::vector<int64_t>& i64_data() { return i64_; }
@@ -77,7 +84,9 @@ class RowBatch {
 
   const Schema& schema() const { return schema_; }
   size_t num_columns() const { return columns_.size(); }
-  ColumnVectorPtr column(size_t i) const { return columns_[i]; }
+  /// By reference: hot loops read columns per row, and copying the pointer
+  /// would bump one shared reference count from every worker.
+  const ColumnVectorPtr& column(size_t i) const { return columns_[i]; }
   void SetColumn(size_t i, ColumnVectorPtr col) { columns_[i] = std::move(col); }
   void AddColumn(Field field, ColumnVectorPtr col);
 
@@ -99,6 +108,12 @@ class RowBatch {
 
   /// Materializes the selection into dense vectors (copying survivors).
   void Flatten();
+
+  /// Appends rows `rows[0..n)` of `src` (same column types) to every column
+  /// and grows num_rows by n; a negative index appends an all-NULL row.
+  void AppendRows(const RowBatch& src, const int32_t* rows, size_t n);
+  /// Appends the selected rows of `src` (all rows when it has no selection).
+  void AppendSelected(const RowBatch& src);
 
   /// Row `i` (logical) as boxed values, for tests and result fetch.
   std::vector<Value> GetRow(size_t i) const;

@@ -89,13 +89,14 @@ uint32_t GroupedAggState::FindOrCreate(uint64_t hash, std::vector<Value>&& keys,
   return CreateGroup(hash, std::move(keys), seq);
 }
 
-Status GroupedAggState::Consume(const RowBatch& batch, uint64_t seq_base) {
+Status GroupedAggState::Consume(const RowBatch& batch, uint64_t seq_base,
+                                std::atomic<int64_t>* rowwise_rows) {
   // Evaluate key and argument vectors once per batch, then hash the key
   // columns column-wise — no per-row boxed key vector on the lookup path
   // (keys box once, when a group is first created).
   std::vector<ColumnVectorPtr> key_cols;
   for (const ExprPtr& k : *keys_) {
-    HIVE_ASSIGN_OR_RETURN(ColumnVectorPtr col, EvalVector(*k, batch));
+    HIVE_ASSIGN_OR_RETURN(ColumnVectorPtr col, EvalVector(*k, batch, rowwise_rows));
     key_cols.push_back(std::move(col));
   }
   std::vector<uint64_t> hashes;
@@ -103,7 +104,8 @@ Status GroupedAggState::Consume(const RowBatch& batch, uint64_t seq_base) {
   std::vector<ColumnVectorPtr> arg_cols(aggs_->size());
   for (size_t a = 0; a < aggs_->size(); ++a) {
     if ((*aggs_)[a].arg) {
-      HIVE_ASSIGN_OR_RETURN(arg_cols[a], EvalVector(*(*aggs_)[a].arg, batch));
+      HIVE_ASSIGN_OR_RETURN(arg_cols[a],
+                            EvalVector(*(*aggs_)[a].arg, batch, rowwise_rows));
     }
   }
   for (size_t i = 0; i < batch.SelectedSize(); ++i) {
@@ -463,9 +465,10 @@ Status AggSpillSet::PrepareEmit(GroupedAggState* remainder, const Schema& schema
     for (size_t begin = 0; begin < groups; begin += batch_rows) {
       size_t end = std::min(groups, begin + batch_rows);
       HIVE_ASSIGN_OR_RETURN(RowBatch out, part.Emit(begin, end, schema));
-      for (size_t r = 0; r < out.num_rows(); ++r)
-        HIVE_RETURN_IF_ERROR(
-            run->AppendBatchRow(out, r, part.ordered_first_seq(begin + r)));
+      std::vector<uint64_t> seqs(out.num_rows());
+      for (size_t r = 0; r < seqs.size(); ++r)
+        seqs[r] = part.ordered_first_seq(begin + r);
+      HIVE_RETURN_IF_ERROR(run->AppendAll(out, seqs.data()));
     }
     HIVE_RETURN_IF_ERROR(run->Finish());
     runs_.push_back(std::move(run));
@@ -556,7 +559,8 @@ Status HashAggregateOperator::Consume() {
         // Sequence rows by (unit, row) so group order is the input order,
         // independent of the unit-to-worker assignment.
         GroupedAggState* state = partials_[static_cast<size_t>(worker)].get();
-        HIVE_RETURN_IF_ERROR(state->Consume(batch, static_cast<uint64_t>(unit) << 32));
+        HIVE_RETURN_IF_ERROR(state->Consume(batch, static_cast<uint64_t>(unit) << 32,
+                                            ctx_->rowwise_rows()));
         MemoryReservation* res = reservations_[static_cast<size_t>(worker)].get();
         if (res->GrowTo(static_cast<int64_t>(state->approx_bytes())))
           return Status::OK();

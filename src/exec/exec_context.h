@@ -49,6 +49,8 @@ struct RuntimeStats {
   std::atomic<int64_t> speculative_tasks{0};
   /// Speculative attempts that finished ahead of the original.
   std::atomic<int64_t> speculative_wins{0};
+  /// Rows the vectorized evaluator had to box (exec.eval.rowwise_rows).
+  std::atomic<int64_t> eval_rowwise_rows{0};
 
   /// Accumulates: a node executed as several parallel fragments records one
   /// partial count per fragment, and re-optimization needs their sum.
@@ -76,6 +78,11 @@ struct ExecContext {
   std::function<Result<OperatorPtr>(const struct RelNode&)> external_scan_factory;
   /// Runtime stats sink (may be null).
   RuntimeStats* runtime_stats = nullptr;
+  /// Where EvalVector counts rows it evaluated through the boxed fallback;
+  /// null without runtime stats.
+  std::atomic<int64_t>* rowwise_rows() const {
+    return runtime_stats ? &runtime_stats->eval_rowwise_rows : nullptr;
+  }
   /// Per-query profile: when set, the compiler wraps every operator in a
   /// span recorder and attaches the plan's span tree here (EXPLAIN ANALYZE
   /// and QueryResult::profile()). May be null (DML subplans, MV refresh).

@@ -197,6 +197,7 @@ Status HashJoinCore::BindCondition(const Schema& left_schema) {
       residual_->type = DataType::Boolean();
     }
   }
+
   // Typed comparison plan per key pair; anything without a safe fast path
   // (cross-kind numerics, cross-scale decimals) verifies boxed through
   // Value::Compare, which is what the hash contract is defined against.
@@ -248,12 +249,7 @@ Status HashJoinCore::Build(Operator* build_child) {
       continue;
     }
     build_rows += batch.SelectedSize();
-    for (size_t i = 0; i < batch.SelectedSize(); ++i) {
-      int32_t row = batch.SelectedRow(i);
-      for (size_t c = 0; c < build_.num_columns(); ++c)
-        build_.column(c)->AppendFrom(*batch.column(c), row);
-    }
-    build_.set_num_rows(build_rows);
+    build_.AppendSelected(batch);
     accum_bytes += batch.ByteSize();
     if (!reservation_.GrowTo(static_cast<int64_t>(accum_bytes))) {
       CountSpillMetric(ctx_, obs::metric::kSpillDeniedReservations, 1);
@@ -321,7 +317,8 @@ Status HashJoinCore::Build(Operator* build_child) {
     // batch: no per-row boxed rows, no per-row key vectors.
     build_key_cols_.clear();
     for (const ExprPtr& k : right_keys_) {
-      HIVE_ASSIGN_OR_RETURN(ColumnVectorPtr col, EvalVector(*k, build_));
+      HIVE_ASSIGN_OR_RETURN(ColumnVectorPtr col,
+                            EvalVector(*k, build_, ctx_->rowwise_rows()));
       build_key_cols_.push_back(std::move(col));
     }
     std::vector<uint64_t> hashes;
@@ -411,56 +408,54 @@ Status HashJoinCore::EnterGrace() {
   return routed;
 }
 
-Status HashJoinCore::GraceRouteBuildBatch(const RowBatch& batch) {
+Status HashJoinCore::RouteRows(const RowBatch& batch, const std::vector<ExprPtr>& keys,
+                               int depth, const std::vector<uint64_t>* in_seqs,
+                               uint64_t* next_seq, const std::string& stream_prefix,
+                               std::vector<std::unique_ptr<SpillBatchWriter>>* writers) {
   GraceState& g = *grace_;
   if (batch.SelectedSize() == 0) return Status::OK();
   std::vector<ColumnVectorPtr> key_cols;
-  for (const ExprPtr& k : right_keys_) {
-    HIVE_ASSIGN_OR_RETURN(ColumnVectorPtr col, EvalVector(*k, batch));
+  for (const ExprPtr& k : keys) {
+    HIVE_ASSIGN_OR_RETURN(ColumnVectorPtr col,
+                          EvalVector(*k, batch, ctx_->rowwise_rows()));
     key_cols.push_back(std::move(col));
   }
   std::vector<uint64_t> hashes;
   std::vector<uint8_t> valid;
   HashKeyColumns(key_cols, batch.num_rows(), &hashes, &valid);
+  std::vector<std::vector<int32_t>> rows(static_cast<size_t>(g.parts));
+  std::vector<std::vector<uint64_t>> seqs(static_cast<size_t>(g.parts));
   for (size_t i = 0; i < batch.SelectedSize(); ++i) {
-    int32_t src = batch.SelectedRow(i);
-    uint32_t p = SpillPartitionOf(hashes[static_cast<size_t>(src)], 0, g.parts);
-    std::unique_ptr<SpillBatchWriter>& w = g.build_writers[p];
+    const int32_t src = batch.SelectedRow(i);
+    const uint32_t p = SpillPartitionOf(hashes[static_cast<size_t>(src)], depth, g.parts);
+    rows[p].push_back(src);
+    seqs[p].push_back(in_seqs ? (*in_seqs)[static_cast<size_t>(src)] : (*next_seq)++);
+  }
+  for (size_t p = 0; p < rows.size(); ++p) {
+    if (rows[p].empty()) continue;
+    std::unique_ptr<SpillBatchWriter>& w = (*writers)[p];
     if (!w) {
       w = std::make_unique<SpillBatchWriter>(
-          ctx_, g.prefix + ".b" + std::to_string(p), g.build_schema, true);
+          ctx_, stream_prefix + std::to_string(p), batch.schema(), true);
       CountSpillMetric(ctx_, obs::metric::kSpillPartitions, 1);
       ++g.partitions_spawned;
     }
-    HIVE_RETURN_IF_ERROR(w->AppendRow(batch, src, g.build_seq++));
+    HIVE_RETURN_IF_ERROR(
+        w->AppendRows(batch, rows[p].data(), rows[p].size(), seqs[p].data()));
   }
   return Status::OK();
 }
 
+Status HashJoinCore::GraceRouteBuildBatch(const RowBatch& batch) {
+  GraceState& g = *grace_;
+  return RouteRows(batch, right_keys_, 0, nullptr, &g.build_seq, g.prefix + ".b",
+                   &g.build_writers);
+}
+
 Status HashJoinCore::GraceAddProbeBatch(const RowBatch& batch) {
   GraceState& g = *grace_;
-  if (batch.SelectedSize() == 0) return Status::OK();
-  std::vector<ColumnVectorPtr> key_cols;
-  for (const ExprPtr& k : left_keys_) {
-    HIVE_ASSIGN_OR_RETURN(ColumnVectorPtr col, EvalVector(*k, batch));
-    key_cols.push_back(std::move(col));
-  }
-  std::vector<uint64_t> hashes;
-  std::vector<uint8_t> valid;
-  HashKeyColumns(key_cols, batch.num_rows(), &hashes, &valid);
-  for (size_t i = 0; i < batch.SelectedSize(); ++i) {
-    int32_t src = batch.SelectedRow(i);
-    uint32_t p = SpillPartitionOf(hashes[static_cast<size_t>(src)], 0, g.parts);
-    std::unique_ptr<SpillBatchWriter>& w = g.probe_writers[p];
-    if (!w) {
-      w = std::make_unique<SpillBatchWriter>(
-          ctx_, g.prefix + ".p" + std::to_string(p), batch.schema(), true);
-      CountSpillMetric(ctx_, obs::metric::kSpillPartitions, 1);
-      ++g.partitions_spawned;
-    }
-    HIVE_RETURN_IF_ERROR(w->AppendRow(batch, src, g.probe_seq++));
-  }
-  return Status::OK();
+  return RouteRows(batch, left_keys_, 0, nullptr, &g.probe_seq, g.prefix + ".p",
+                   &g.probe_writers);
 }
 
 Status HashJoinCore::GraceFinishProbe() {
@@ -487,7 +482,8 @@ Status HashJoinCore::RebuildTableOverBuild() {
   for (size_t i = 0; i < n; ++i) matched_[i].store(0, std::memory_order_relaxed);
   build_key_cols_.clear();
   for (const ExprPtr& k : right_keys_) {
-    HIVE_ASSIGN_OR_RETURN(ColumnVectorPtr col, EvalVector(*k, build_));
+    HIVE_ASSIGN_OR_RETURN(ColumnVectorPtr col,
+                          EvalVector(*k, build_, ctx_->rowwise_rows()));
     build_key_cols_.push_back(std::move(col));
   }
   std::vector<uint64_t> hashes;
@@ -530,11 +526,8 @@ Status HashJoinCore::JoinPartitionPair(int depth, SpillBatchWriter* build_run,
       HIVE_RETURN_IF_ERROR(ctx_->CheckInterrupted());
       HIVE_ASSIGN_OR_RETURN(bool more, reader.NextBatch(&chunk, &seqs));
       if (!more) break;
-      for (size_t r = 0; r < chunk.num_rows(); ++r) {
-        for (size_t c = 0; c < build_.num_columns(); ++c)
-          build_.column(c)->AppendFrom(*chunk.column(c), r);
-        grace_build_seqs_.push_back(seqs[r]);
-      }
+      build_.AppendSelected(chunk);
+      grace_build_seqs_.insert(grace_build_seqs_.end(), seqs.begin(), seqs.end());
       loaded_bytes += chunk.ByteSize();
       if (!reservation_.GrowTo(
               static_cast<int64_t>(loaded_bytes) +
@@ -563,31 +556,14 @@ Status HashJoinCore::JoinPartitionPair(int depth, SpillBatchWriter* build_run,
       SpillBatchReader reader(ctx_, *run);
       RowBatch chunk;
       std::vector<uint64_t> seqs;
+      const std::string stream_prefix =
+          g.prefix + ".s" + std::to_string(g.stream_counter++) + kind;
       for (;;) {
         HIVE_RETURN_IF_ERROR(ctx_->CheckInterrupted());
         HIVE_ASSIGN_OR_RETURN(bool more, reader.NextBatch(&chunk, &seqs));
         if (!more) break;
-        std::vector<ColumnVectorPtr> key_cols;
-        for (const ExprPtr& k : keys) {
-          HIVE_ASSIGN_OR_RETURN(ColumnVectorPtr col, EvalVector(*k, chunk));
-          key_cols.push_back(std::move(col));
-        }
-        std::vector<uint64_t> hashes;
-        std::vector<uint8_t> valid;
-        HashKeyColumns(key_cols, chunk.num_rows(), &hashes, &valid);
-        for (size_t r = 0; r < chunk.num_rows(); ++r) {
-          uint32_t p = SpillPartitionOf(hashes[r], depth + 1, g.parts);
-          std::unique_ptr<SpillBatchWriter>& w = (*subs)[p];
-          if (!w) {
-            w = std::make_unique<SpillBatchWriter>(
-                ctx_,
-                g.prefix + ".s" + std::to_string(g.stream_counter++) + kind,
-                run->schema(), true);
-            CountSpillMetric(ctx_, obs::metric::kSpillPartitions, 1);
-            ++g.partitions_spawned;
-          }
-          HIVE_RETURN_IF_ERROR(w->AppendBatchRow(chunk, r, seqs[r]));
-        }
+        HIVE_RETURN_IF_ERROR(
+            RouteRows(chunk, keys, depth + 1, &seqs, nullptr, stream_prefix, subs));
       }
       for (std::unique_ptr<SpillBatchWriter>& w : *subs) {
         if (!w) continue;
@@ -626,13 +602,12 @@ Status HashJoinCore::JoinPartitionPair(int depth, SpillBatchWriter* build_run,
       out_seqs.clear();
       HIVE_ASSIGN_OR_RETURN(RowBatch out,
                             ProbeBatch(chunk, &emitted, &seqs, &out_seqs));
-      for (size_t r = 0; r < out.num_rows(); ++r) {
-        if (!out_run)
-          out_run = std::make_unique<SpillBatchWriter>(
-              ctx_, g.prefix + ".out" + std::to_string(g.stream_counter++),
-              *out_schema_, true);
-        HIVE_RETURN_IF_ERROR(out_run->AppendBatchRow(out, r, out_seqs[r]));
-      }
+      if (!emitted) continue;
+      if (!out_run)
+        out_run = std::make_unique<SpillBatchWriter>(
+            ctx_, g.prefix + ".out" + std::to_string(g.stream_counter++),
+            *out_schema_, true);
+      HIVE_RETURN_IF_ERROR(out_run->AppendAll(out, out_seqs.data()));
     }
   }
   if (out_run) {
@@ -644,24 +619,16 @@ Status HashJoinCore::JoinPartitionPair(int depth, SpillBatchWriter* build_run,
   if (full && build_.num_rows() > 0) {
     // Unmatched build rows, tagged with their *global* build sequence so
     // the tail phase merges into one build-order stream across partitions.
-    RowBatch tail(*out_schema_);
-    std::vector<uint64_t> tail_seqs;
-    size_t tail_rows = 0;
-    for (size_t r = 0; r < build_.num_rows(); ++r) {
-      if (matched_[r].load(std::memory_order_relaxed)) continue;
-      for (size_t c = 0; c < left_width_; ++c) tail.column(c)->AppendNull();
-      for (size_t c = 0; c < build_.num_columns(); ++c)
-        tail.column(left_width_ + c)->AppendFrom(*build_.column(c), r);
-      tail_seqs.push_back(grace_build_seqs_[r]);
-      ++tail_rows;
-    }
-    tail.set_num_rows(tail_rows);
-    if (tail_rows > 0) {
+    HIVE_ASSIGN_OR_RETURN(RowBatch tail, EmitUnmatchedRight());
+    if (tail.num_rows() > 0) {
+      std::vector<uint64_t> tail_seqs;
+      for (size_t r = 0; r < build_.num_rows(); ++r)
+        if (!matched_[r].load(std::memory_order_relaxed))
+          tail_seqs.push_back(grace_build_seqs_[r]);
       auto tail_run = std::make_unique<SpillBatchWriter>(
           ctx_, g.prefix + ".tail" + std::to_string(g.stream_counter++),
           *out_schema_, true);
-      for (size_t r = 0; r < tail_rows; ++r)
-        HIVE_RETURN_IF_ERROR(tail_run->AppendBatchRow(tail, r, tail_seqs[r]));
+      HIVE_RETURN_IF_ERROR(tail_run->AppendAll(tail, tail_seqs.data()));
       HIVE_RETURN_IF_ERROR(tail_run->Finish());
       g.bytes += tail_run->bytes_written();
       g.tail_runs.push_back(std::move(tail_run));
@@ -744,34 +711,38 @@ Result<RowBatch> HashJoinCore::ProbeBatch(const RowBatch& batch, bool* emitted,
   std::vector<uint8_t> valid;
   if (!left_keys_.empty()) {
     for (const ExprPtr& k : left_keys_) {
-      HIVE_ASSIGN_OR_RETURN(ColumnVectorPtr col, EvalVector(*k, batch));
+      HIVE_ASSIGN_OR_RETURN(ColumnVectorPtr col,
+                            EvalVector(*k, batch, ctx_->rowwise_rows()));
       probe_cols.push_back(std::move(col));
     }
     HashKeyColumns(probe_cols, batch.num_rows(), &hashes, &valid);
   }
 
-  RowBatch out(*out_schema_);
-  size_t out_rows = 0;
+  // Output rows are (probe row, build row) index pairs, build -1 for a
+  // NULL-extended row; the columns are gathered once the batch is probed.
+  std::vector<int32_t> left_rows, right_rows;
+  left_rows.reserve(batch.SelectedSize());
+  right_rows.reserve(batch.SelectedSize());
   uint64_t cur_seq = 0;
   auto emit = [&](int32_t left_row, int32_t right_row) {
-    ++out_rows;
     if (out_seqs) out_seqs->push_back(cur_seq);
-    for (size_t c = 0; c < left_width_; ++c)
-      out.column(c)->AppendFrom(*batch.column(c), static_cast<size_t>(left_row));
-    if (semi || anti) return;
-    for (size_t c = 0; c < build_.num_columns(); ++c) {
-      if (right_row < 0) {
-        out.column(left_width_ + c)->AppendNull();
-      } else {
-        out.column(left_width_ + c)
-            ->AppendFrom(*build_.column(c), static_cast<size_t>(right_row));
-      }
-    }
+    left_rows.push_back(left_row);
+    right_rows.push_back(right_row);
   };
 
   int64_t hits = 0, misses = 0;
   std::vector<int32_t> candidates;
-  std::vector<Value> left_row_boxed;  // only materialized for residuals
+  // Residual input over concat(left, right): only the slots the residual
+  // reads are boxed, per candidate pair (rare path).
+  std::vector<Value> residual_row;
+  std::vector<size_t> residual_refs;
+  if (residual_) {
+    std::vector<bool> used(left_width_ + build_.num_columns(), false);
+    CollectBindings(residual_, &used);
+    for (size_t c = 0; c < used.size(); ++c)
+      if (used[c]) residual_refs.push_back(c);
+    residual_row.resize(used.size());
+  }
   for (size_t i = 0; i < batch.SelectedSize(); ++i) {
     int32_t src = batch.SelectedRow(i);
     if (in_seqs) cur_seq = (*in_seqs)[static_cast<size_t>(src)];
@@ -800,14 +771,13 @@ Result<RowBatch> HashJoinCore::ProbeBatch(const RowBatch& batch, bool* emitted,
     bool matched = false;
     for (int32_t r : candidates) {
       if (residual_) {
-        // Evaluate residual over concat(left, right), boxed (rare path).
-        left_row_boxed.clear();
-        for (size_t c = 0; c < left_width_; ++c)
-          left_row_boxed.push_back(
-              batch.column(c)->GetValue(static_cast<size_t>(src)));
-        for (size_t c = 0; c < build_.num_columns(); ++c)
-          left_row_boxed.push_back(build_.column(c)->GetValue(static_cast<size_t>(r)));
-        HIVE_ASSIGN_OR_RETURN(Value v, EvalExpr(*residual_, &left_row_boxed));
+        for (size_t c : residual_refs) {
+          residual_row[c] = c < left_width_
+                                ? batch.column(c)->GetValue(static_cast<size_t>(src))
+                                : build_.column(c - left_width_)
+                                      ->GetValue(static_cast<size_t>(r));
+        }
+        HIVE_ASSIGN_OR_RETURN(Value v, EvalExpr(*residual_, &residual_row));
         if (!IsTrue(v)) continue;
       }
       matched = true;
@@ -824,22 +794,31 @@ Result<RowBatch> HashJoinCore::ProbeBatch(const RowBatch& batch, bool* emitted,
   probe_misses_.fetch_add(misses, std::memory_order_relaxed);
   if (metric_probe_hits_) metric_probe_hits_->Add(hits);
   if (metric_probe_misses_) metric_probe_misses_->Add(misses);
-  out.set_num_rows(out_rows);
-  if (out.num_rows() > 0) *emitted = true;
+  RowBatch out(*out_schema_);
+  const size_t m = left_rows.size();
+  if (m == 0) return out;
+  for (size_t c = 0; c < left_width_; ++c)
+    out.column(c)->AppendGather(*batch.column(c), left_rows.data(), m);
+  if (!semi && !anti) {
+    for (size_t c = 0; c < build_.num_columns(); ++c)
+      out.column(left_width_ + c)->AppendGather(*build_.column(c), right_rows.data(), m);
+  }
+  out.set_num_rows(m);
+  *emitted = true;
   return out;
 }
 
 Result<RowBatch> HashJoinCore::EmitUnmatchedRight() {
+  std::vector<int32_t> rows;
+  for (size_t r = 0; r < build_.num_rows(); ++r)
+    if (!matched_[r].load(std::memory_order_relaxed))
+      rows.push_back(static_cast<int32_t>(r));
   RowBatch out(*out_schema_);
-  size_t out_rows = 0;
-  for (size_t r = 0; r < build_.num_rows(); ++r) {
-    if (matched_[r].load(std::memory_order_relaxed)) continue;
-    ++out_rows;
-    for (size_t c = 0; c < left_width_; ++c) out.column(c)->AppendNull();
-    for (size_t c = 0; c < build_.num_columns(); ++c)
-      out.column(left_width_ + c)->AppendFrom(*build_.column(c), r);
-  }
-  out.set_num_rows(out_rows);
+  for (size_t c = 0; c < left_width_; ++c) out.column(c)->Resize(rows.size());  // NULLs
+  for (size_t c = 0; c < build_.num_columns(); ++c)
+    out.column(left_width_ + c)
+        ->AppendGather(*build_.column(c), rows.data(), rows.size());
+  out.set_num_rows(rows.size());
   return out;
 }
 

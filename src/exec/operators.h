@@ -152,7 +152,8 @@ class HashJoinCore {
                               std::vector<uint64_t>* out_seqs = nullptr);
 
   /// FULL OUTER tail: null-extended build rows no probe row matched. Call
-  /// after all ProbeBatch calls have completed.
+  /// after all ProbeBatch calls have completed (grace mode: per partition
+  /// pair, over that pair's build rows).
   Result<RowBatch> EmitUnmatchedRight();
 
   /// True once Build's memory reservation was denied and the join switched
@@ -189,6 +190,15 @@ class HashJoinCore {
  private:
   enum class KeyCmp : uint8_t { kI64, kF64, kStr, kBoxed };
   struct GraceState;
+
+  /// Hash-partitions the selected rows of `batch` on `keys` at `depth` and
+  /// appends each partition's rows to (*writers)[p], opening the writer as
+  /// `stream_prefix` + p on first use. A row is tagged with its entry in
+  /// `in_seqs` when given, else with (*next_seq)++ in input order.
+  Status RouteRows(const RowBatch& batch, const std::vector<ExprPtr>& keys, int depth,
+                   const std::vector<uint64_t>* in_seqs, uint64_t* next_seq,
+                   const std::string& stream_prefix,
+                   std::vector<std::unique_ptr<SpillBatchWriter>>* writers);
 
   /// Equality of one probe-row key against one build-row key, using the
   /// typed fast path the key kinds allow.
@@ -296,7 +306,9 @@ class GroupedAggState {
 
   /// Folds one batch in. `seq_base` positions the batch in the global input
   /// order (a new group records seq_base + its row position).
-  Status Consume(const RowBatch& batch, uint64_t seq_base);
+  /// `rowwise_rows` is EvalVector's boxed-fallback row counter.
+  Status Consume(const RowBatch& batch, uint64_t seq_base,
+                 std::atomic<int64_t>* rowwise_rows = nullptr);
 
   /// Merges `other`'s groups into this state.
   void Merge(GroupedAggState&& other);

@@ -168,8 +168,9 @@ Status Pipeline::Step(Worker* w, bool* exhausted, size_t* unit, RowBatch* batch,
   for (size_t s = 0; s < stages_.size(); ++s) {
     const Stage& stage = stages_[s];
     if (stage.is_filter) {
-      HIVE_ASSIGN_OR_RETURN(std::vector<int32_t> selection,
-                            FilterSelection(*stage.predicate, *batch));
+      HIVE_ASSIGN_OR_RETURN(
+          std::vector<int32_t> selection,
+          FilterSelection(*stage.predicate, *batch, ctx_->rowwise_rows()));
       if (selection.empty()) {
         lap(&w->steps[s + 1], nullptr);
         return Status::OK();
@@ -178,7 +179,8 @@ Status Pipeline::Step(Worker* w, bool* exhausted, size_t* unit, RowBatch* batch,
     } else {
       RowBatch out(stage.schema);
       for (size_t e = 0; e < stage.exprs.size(); ++e) {
-        HIVE_ASSIGN_OR_RETURN(ColumnVectorPtr col, EvalVector(*stage.exprs[e], *batch));
+        HIVE_ASSIGN_OR_RETURN(ColumnVectorPtr col,
+                              EvalVector(*stage.exprs[e], *batch, ctx_->rowwise_rows()));
         out.SetColumn(e, std::move(col));
       }
       out.set_num_rows(batch->num_rows());

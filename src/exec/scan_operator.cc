@@ -142,7 +142,8 @@ Status TableScan::RunSemiJoinReducers() {
     HIVE_ASSIGN_OR_RETURN(OperatorPtr build_op, ctx_->compile_subplan(reducer.build_plan));
     HIVE_ASSIGN_OR_RETURN(RowBatch rows, CollectAll(build_op.get()));
     // Evaluate the key expression over the build output.
-    HIVE_ASSIGN_OR_RETURN(ColumnVectorPtr keys, EvalVector(*reducer.build_key, rows));
+    HIVE_ASSIGN_OR_RETURN(ColumnVectorPtr keys,
+                          EvalVector(*reducer.build_key, rows, ctx_->rowwise_rows()));
     Value min, max;
     auto bloom = std::make_shared<BloomFilter>(std::max<size_t>(rows.num_rows(), 16),
                                                0.03);
@@ -271,7 +272,8 @@ Result<RowBatch> TableScan::PostProcess(RowBatch raw, const Location& loc) const
   if (raw.has_selection()) out.SetSelection(raw.selection());
   // Residual predicate evaluation (sargs are row-group granularity only).
   for (const ExprPtr& f : filters_) {
-    HIVE_ASSIGN_OR_RETURN(std::vector<int32_t> selection, FilterSelection(*f, out));
+    HIVE_ASSIGN_OR_RETURN(std::vector<int32_t> selection,
+                          FilterSelection(*f, out, ctx_->rowwise_rows()));
     out.SetSelection(std::move(selection));
   }
   // Row-level semijoin-reducer Bloom filtering.

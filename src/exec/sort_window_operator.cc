@@ -50,20 +50,13 @@ Status SortOperator::ConsumeInput() {
   }
 
   RowBatch pending(child_->schema());
-  size_t rows = 0;
   uint64_t pending_bytes = 0;
   bool done = false;
   for (;;) {
     HIVE_RETURN_IF_ERROR(CheckCancelled());
     HIVE_ASSIGN_OR_RETURN(RowBatch batch, child_->Next(&done));
     if (done) break;
-    rows += batch.SelectedSize();
-    for (size_t i = 0; i < batch.SelectedSize(); ++i) {
-      int32_t row = batch.SelectedRow(i);
-      for (size_t c = 0; c < pending.num_columns(); ++c)
-        pending.column(c)->AppendFrom(*batch.column(c), row);
-    }
-    pending.set_num_rows(rows);
+    pending.AppendSelected(batch);
     pending_bytes += batch.ByteSize();
     input_bytes_ += batch.ByteSize();
     if (!reservation_.GrowTo(static_cast<int64_t>(pending_bytes))) {
@@ -73,7 +66,6 @@ Status SortOperator::ConsumeInput() {
                                     static_cast<int64_t>(pending_bytes), ctx_);
       HIVE_RETURN_IF_ERROR(SpillRun(&pending));
       reservation_.Release();
-      rows = 0;
       pending_bytes = 0;
     }
   }
@@ -82,7 +74,8 @@ Status SortOperator::ConsumeInput() {
     // Whole input fit: the classic dense materialize + stable sort.
     std::vector<ColumnVectorPtr> key_cols;
     for (const auto& [expr, asc] : keys_) {
-      HIVE_ASSIGN_OR_RETURN(ColumnVectorPtr col, EvalVector(*expr, pending));
+      HIVE_ASSIGN_OR_RETURN(ColumnVectorPtr col,
+                            EvalVector(*expr, pending, ctx_->rowwise_rows()));
       key_cols.push_back(std::move(col));
     }
     std::vector<int32_t> order(pending.num_rows());
@@ -99,10 +92,7 @@ Status SortOperator::ConsumeInput() {
     if (fetch_ >= 0 && static_cast<int64_t>(order.size()) > fetch_)
       order.resize(static_cast<size_t>(fetch_));
     materialized_ = RowBatch(child_->schema());
-    for (int32_t row : order)
-      for (size_t c = 0; c < materialized_.num_columns(); ++c)
-        materialized_.column(c)->AppendFrom(*pending.column(c), row);
-    materialized_.set_num_rows(order.size());
+    materialized_.AppendRows(pending, order.data(), order.size());
     return ctx_->OnStageBoundary(pending.ByteSize());
   }
 
@@ -133,7 +123,8 @@ Status SortOperator::SpillRun(RowBatch* pending) {
   if (pending->num_rows() == 0) return Status::OK();
   std::vector<ColumnVectorPtr> key_cols;
   for (const auto& [expr, asc] : keys_) {
-    HIVE_ASSIGN_OR_RETURN(ColumnVectorPtr col, EvalVector(*expr, *pending));
+    HIVE_ASSIGN_OR_RETURN(ColumnVectorPtr col,
+                          EvalVector(*expr, *pending, ctx_->rowwise_rows()));
     key_cols.push_back(std::move(col));
   }
   std::vector<int32_t> order(pending->num_rows());
@@ -150,8 +141,7 @@ Status SortOperator::SpillRun(RowBatch* pending) {
   auto run = std::make_unique<SpillBatchWriter>(
       ctx_, ctx_->spill_dir + "/s" + std::to_string(NextSpillStreamId()),
       child_->schema(), /*with_seqs=*/false);
-  for (int32_t row : order)
-    HIVE_RETURN_IF_ERROR(run->AppendRow(*pending, row, 0));
+  HIVE_RETURN_IF_ERROR(run->AppendRows(*pending, order.data(), order.size(), nullptr));
   HIVE_RETURN_IF_ERROR(run->Finish());
   CountSpillMetric(ctx_, obs::metric::kSpillPartitions, 1);
   runs_.push_back(std::move(run));
@@ -168,7 +158,8 @@ Status SortOperator::RefillCursor(MergeCursor* c) {
   }
   c->keys.clear();
   for (const auto& [expr, asc] : keys_) {
-    HIVE_ASSIGN_OR_RETURN(ColumnVectorPtr col, EvalVector(*expr, c->batch));
+    HIVE_ASSIGN_OR_RETURN(ColumnVectorPtr col,
+                          EvalVector(*expr, c->batch, ctx_->rowwise_rows()));
     c->keys.push_back(std::move(col));
   }
   return Status::OK();
@@ -253,7 +244,8 @@ Status SortOperator::ConsumeTopK() {
     if (cap == 0) continue;  // LIMIT 0 still drains the child
     std::vector<ColumnVectorPtr> key_cols;
     for (const auto& [expr, asc] : keys_) {
-      HIVE_ASSIGN_OR_RETURN(ColumnVectorPtr col, EvalVector(*expr, batch));
+      HIVE_ASSIGN_OR_RETURN(ColumnVectorPtr col,
+                            EvalVector(*expr, batch, ctx_->rowwise_rows()));
       key_cols.push_back(std::move(col));
     }
     for (size_t i = 0; i < batch.SelectedSize(); ++i) {
@@ -330,13 +322,8 @@ Result<RowBatch> WindowOperator::Next(bool* done) {
       HIVE_RETURN_IF_ERROR(CheckCancelled());
       HIVE_ASSIGN_OR_RETURN(RowBatch batch, child_->Next(&child_done));
       if (child_done) break;
-      for (size_t i = 0; i < batch.SelectedSize(); ++i) {
-        int32_t row = batch.SelectedRow(i);
-        for (size_t c = 0; c < all.num_columns(); ++c)
-          all.column(c)->AppendFrom(*batch.column(c), row);
-      }
+      all.AppendSelected(batch);
     }
-    all.set_num_rows(all.num_columns() ? all.column(0)->size() : 0);
     HIVE_RETURN_IF_ERROR(ctx_->OnStageBoundary(all.ByteSize()));
 
     result_ = RowBatch(schema_);
@@ -352,17 +339,19 @@ Result<RowBatch> WindowOperator::Next(bool* done) {
       // Partition the rows.
       std::vector<ColumnVectorPtr> part_cols;
       for (const ExprPtr& p : call.partition_by) {
-        HIVE_ASSIGN_OR_RETURN(ColumnVectorPtr col, EvalVector(*p, all));
+        HIVE_ASSIGN_OR_RETURN(ColumnVectorPtr col,
+                              EvalVector(*p, all, ctx_->rowwise_rows()));
         part_cols.push_back(std::move(col));
       }
       std::vector<ColumnVectorPtr> order_cols;
       for (const auto& [o, asc] : call.order_by) {
-        HIVE_ASSIGN_OR_RETURN(ColumnVectorPtr col, EvalVector(*o, all));
+        HIVE_ASSIGN_OR_RETURN(ColumnVectorPtr col,
+                              EvalVector(*o, all, ctx_->rowwise_rows()));
         order_cols.push_back(std::move(col));
       }
       ColumnVectorPtr arg_col;
       if (call.arg) {
-        HIVE_ASSIGN_OR_RETURN(arg_col, EvalVector(*call.arg, all));
+        HIVE_ASSIGN_OR_RETURN(arg_col, EvalVector(*call.arg, all, ctx_->rowwise_rows()));
       }
 
       std::unordered_map<uint64_t, std::vector<int32_t>> partitions;

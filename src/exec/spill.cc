@@ -191,26 +191,28 @@ SpillBatchWriter::SpillBatchWriter(ExecContext* ctx, std::string prefix,
       with_seqs_(with_seqs),
       buffer_(schema) {}
 
-Status SpillBatchWriter::AppendRow(const RowBatch& batch, int32_t row,
-                                   uint64_t seq) {
-  for (size_t c = 0; c < buffer_.num_columns(); ++c)
-    buffer_.column(c)->AppendFrom(*batch.column(c), static_cast<size_t>(row));
-  if (with_seqs_) seqs_.push_back(seq);
-  ++buffered_;
-  ++num_rows_;
-  return MaybeFlush();
-}
-
-Status SpillBatchWriter::AppendBatchRow(const RowBatch& dense, size_t row,
-                                        uint64_t seq) {
-  return AppendRow(dense, static_cast<int32_t>(row), seq);
-}
-
-Status SpillBatchWriter::MaybeFlush() {
-  const size_t batch_rows =
-      ctx_->config ? static_cast<size_t>(ctx_->config->vector_batch_size) : 1024;
-  if (buffered_ >= batch_rows) return FlushBuffer();
+Status SpillBatchWriter::AppendRows(const RowBatch& batch, const int32_t* rows,
+                                    size_t n, const uint64_t* seqs) {
+  const size_t batch_rows = std::max<size_t>(
+      1, ctx_->config ? static_cast<size_t>(ctx_->config->vector_batch_size) : 1024);
+  // Fill the buffer up to a whole batch, flush, repeat: every record but the
+  // last holds exactly batch_rows rows, however the rows were handed in.
+  for (size_t done = 0; done < n;) {
+    const size_t take = std::min(n - done, batch_rows - buffered_);
+    buffer_.AppendRows(batch, rows + done, take);
+    if (with_seqs_) seqs_.insert(seqs_.end(), seqs + done, seqs + done + take);
+    buffered_ += take;
+    num_rows_ += take;
+    done += take;
+    if (buffered_ >= batch_rows) HIVE_RETURN_IF_ERROR(FlushBuffer());
+  }
   return Status::OK();
+}
+
+Status SpillBatchWriter::AppendAll(const RowBatch& dense, const uint64_t* seqs) {
+  std::vector<int32_t> rows(dense.num_rows());
+  for (size_t i = 0; i < rows.size(); ++i) rows[i] = static_cast<int32_t>(i);
+  return AppendRows(dense, rows.data(), rows.size(), seqs);
 }
 
 Status SpillBatchWriter::FlushBuffer() {

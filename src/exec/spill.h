@@ -107,17 +107,21 @@ class SpillChunkReader {
   size_t offset_ = 0;
 };
 
-/// Row-granular batch spiller: rows accumulate into a dense RowBatch and
-/// flush as one SerializeSpillBatch record per buffered batch. The unit the
-/// grace join partitions build/probe rows into and the agg flush writes
-/// finalized runs through.
+/// Batch spiller: rows gather into a dense RowBatch and flush as one
+/// SerializeSpillBatch record per vector_batch_size rows. The unit the
+/// grace join partitions build/probe rows into and the agg flush and
+/// external sort write their runs through.
 class SpillBatchWriter {
  public:
   SpillBatchWriter(ExecContext* ctx, std::string prefix, const Schema& schema,
                    bool with_seqs);
 
-  Status AppendRow(const RowBatch& batch, int32_t row, uint64_t seq);
-  Status AppendBatchRow(const RowBatch& dense, size_t row, uint64_t seq);
+  /// Appends physical rows `rows[0..n)` of `batch`, tagged `seqs[0..n)`
+  /// (ignored, and may be null, without sequence numbers).
+  Status AppendRows(const RowBatch& batch, const int32_t* rows, size_t n,
+                    const uint64_t* seqs);
+  /// Appends every row of a batch without selection.
+  Status AppendAll(const RowBatch& dense, const uint64_t* seqs);
   Status Finish();
 
   uint64_t num_rows() const { return num_rows_; }
@@ -127,7 +131,6 @@ class SpillBatchWriter {
   const Schema& schema() const { return schema_; }
 
  private:
-  Status MaybeFlush();
   Status FlushBuffer();
 
   ExecContext* ctx_;

@@ -1,54 +1,40 @@
 #include "exec/vector_eval.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "common/hash.h"
 #include "optimizer/expr_eval.h"
+#include "optimizer/rel.h"
 
 namespace hive {
 
 namespace {
 
-/// Row-wise fallback: boxes one physical row of the batch.
-std::vector<Value> BoxRow(const RowBatch& batch, size_t row) {
-  std::vector<Value> out;
-  out.reserve(batch.num_columns());
-  for (size_t c = 0; c < batch.num_columns(); ++c)
-    out.push_back(batch.column(c)->GetValue(row));
-  return out;
-}
+using RowwiseSink = std::atomic<int64_t>;
 
-Result<ColumnVectorPtr> RowWiseEval(const Expr& e, const RowBatch& batch) {
+/// Row-wise fallback: loops the boxed evaluator over the batch. Only the
+/// columns the expression references are boxed; the other slots of the row
+/// stay NULL and are never read.
+Result<ColumnVectorPtr> RowWiseEval(const Expr& e, const RowBatch& batch,
+                                    RowwiseSink* rowwise_rows) {
+  // Column references are never evaluated here, so the children hold every
+  // binding; an out-of-range one stays unboxed and EvalExpr reports it.
+  std::vector<bool> used(batch.num_columns(), false);
+  for (const ExprPtr& c : e.children) CollectBindings(c, &used);
+  std::vector<size_t> refs;
+  for (size_t c = 0; c < used.size(); ++c)
+    if (used[c]) refs.push_back(c);
   auto out = std::make_shared<ColumnVector>(e.type);
   const size_t n = batch.num_rows();
+  std::vector<Value> row(batch.num_columns());
   for (size_t i = 0; i < n; ++i) {
-    std::vector<Value> row = BoxRow(batch, i);
+    for (size_t c : refs) row[c] = batch.column(c)->GetValue(i);
     HIVE_ASSIGN_OR_RETURN(Value v, EvalExpr(e, &row));
     out->AppendValue(v);
   }
-  return out;
-}
-
-bool IsI64Backed(const DataType& t) {
-  return t.IsIntegerBacked();
-}
-
-/// Vectorized comparison kernel over i64-backed columns.
-template <typename Cmp>
-ColumnVectorPtr CompareI64(const ColumnVector& l, const ColumnVector& r, Cmp cmp) {
-  auto out = std::make_shared<ColumnVector>(DataType::Boolean());
-  const size_t n = l.size();
-  out->Resize(n);
-  const auto& lv = l.i64_data();
-  const auto& rv = r.i64_data();
-  const auto& ln = l.validity();
-  const auto& rn = r.validity();
-  auto& ov = out->i64_data();
-  auto& on = out->validity();
-  for (size_t i = 0; i < n; ++i) {
-    on[i] = ln[i] & rn[i];
-    ov[i] = cmp(lv[i], rv[i]) ? 1 : 0;
-  }
+  if (rowwise_rows)
+    rowwise_rows->fetch_add(static_cast<int64_t>(n), std::memory_order_relaxed);
   return out;
 }
 
@@ -128,10 +114,12 @@ ColumnVectorPtr Broadcast(const Value& v, DataType type, size_t n) {
   return out;
 }
 
+int ScaleOf(const DataType& t) { return t.kind == TypeKind::kDecimal ? t.scale : 0; }
+
 /// Rescales an i64-backed (decimal) column so both comparison sides share a
 /// scale; returns the input when no rescale is needed.
 ColumnVectorPtr AlignScale(const ColumnVectorPtr& col, int target_scale) {
-  int scale = col->type().kind == TypeKind::kDecimal ? col->type().scale : 0;
+  int scale = ScaleOf(col->type());
   if (scale == target_scale) return col;
   auto out = std::make_shared<ColumnVector>(DataType::Decimal(18, target_scale));
   const size_t n = col->size();
@@ -142,9 +130,189 @@ ColumnVectorPtr AlignScale(const ColumnVectorPtr& col, int target_scale) {
   return out;
 }
 
+/// DOUBLE view of a numeric column; a decimal converts as Value::AsDouble
+/// does (unscaled / 10^scale), so DECIMAL meets DOUBLE in double.
+ColumnVectorPtr AsF64(const ColumnVectorPtr& col) {
+  if (col->type().kind == TypeKind::kDouble) return col;
+  auto out = std::make_shared<ColumnVector>(DataType::Double());
+  const size_t n = col->size();
+  out->Resize(n);
+  out->validity() = col->validity();
+  const double div = static_cast<double>(Pow10(ScaleOf(col->type())));
+  for (size_t i = 0; i < n; ++i)
+    out->f64_data()[i] = static_cast<double>(col->i64_data()[i]) / div;
+  return out;
+}
+
+/// One comparison operand: a column over the batch, or a literal held as a
+/// one-row vector read at index 0 (`step` 0), so a constant is never
+/// broadcast to the batch length.
+struct Operand {
+  ColumnVectorPtr col;
+  size_t step = 1;
+};
+
+Result<Operand> EvalOperand(const Expr& e, const RowBatch& batch, RowwiseSink* sink) {
+  if (e.kind == ExprKind::kLiteral) return Operand{Broadcast(e.literal, e.type, 1), 0};
+  HIVE_ASSIGN_OR_RETURN(ColumnVectorPtr col, EvalVector(e, batch, sink));
+  return Operand{std::move(col), 1};
+}
+
+/// How two operand types compare natively, following Value::Compare: a
+/// NULL-typed side makes every row NULL; equal kinds compare by value
+/// (decimals after scale alignment); across kinds only numerics compare by
+/// value, in double when either side is DOUBLE. Other cross-kind pairs
+/// (DATE vs BIGINT, STRING vs numbers) order by kind id in Value::Compare
+/// and have no kernel.
+enum class CmpKind { kNone, kNull, kI64, kF64, kStr };
+
+CmpKind ComparisonKind(const DataType& a, const DataType& b) {
+  if (a.kind == TypeKind::kNull || b.kind == TypeKind::kNull) return CmpKind::kNull;
+  if (a.kind == b.kind) {
+    if (a.kind == TypeKind::kString) return CmpKind::kStr;
+    return a.kind == TypeKind::kDouble ? CmpKind::kF64 : CmpKind::kI64;
+  }
+  if (!a.IsNumeric() || !b.IsNumeric()) return CmpKind::kNone;
+  return a.kind == TypeKind::kDouble || b.kind == TypeKind::kDouble ? CmpKind::kF64
+                                                                    : CmpKind::kI64;
+}
+
+bool IsComparison(BinaryOp op) {
+  return op == BinaryOp::kEq || op == BinaryOp::kNe || op == BinaryOp::kLt ||
+         op == BinaryOp::kLe || op == BinaryOp::kGt || op == BinaryOp::kGe;
+}
+
+/// A typed operand buffer: row i reads data[i * step] (step 0 = scalar).
+template <typename T>
+struct Lane {
+  const T* data;
+  const uint8_t* valid;
+  size_t step;
+};
+
+template <typename T>
+Lane<T> LaneOf(const ColumnVector& col, const std::vector<T>& data, size_t step) {
+  return {data.data(), col.validity().data(), step};
+}
+
+template <typename T, typename Cmp>
+void CompareRows(size_t n, Lane<T> l, Lane<T> r, Cmp cmp, ColumnVector* out) {
+  int64_t* value = out->i64_data().data();
+  uint8_t* valid = out->validity().data();
+  for (size_t i = 0; i < n; ++i) {
+    const size_t li = i * l.step, ri = i * r.step;
+    valid[i] = l.valid[li] & r.valid[ri];
+    value[i] = cmp(l.data[li], r.data[ri]) ? 1 : 0;
+  }
+}
+
+template <typename T>
+void CompareByOp(BinaryOp op, size_t n, Lane<T> l, Lane<T> r, ColumnVector* out) {
+  switch (op) {
+    case BinaryOp::kEq: CompareRows(n, l, r, std::equal_to<T>(), out); break;
+    case BinaryOp::kNe: CompareRows(n, l, r, std::not_equal_to<T>(), out); break;
+    case BinaryOp::kLt: CompareRows(n, l, r, std::less<T>(), out); break;
+    case BinaryOp::kLe: CompareRows(n, l, r, std::less_equal<T>(), out); break;
+    case BinaryOp::kGt: CompareRows(n, l, r, std::greater<T>(), out); break;
+    default: CompareRows(n, l, r, std::greater_equal<T>(), out); break;
+  }
+}
+
+/// `l op r` for every row as a BOOLEAN vector, NULL where either side is
+/// NULL; nullptr when the operand types have no native kernel.
+ColumnVectorPtr CompareOperands(BinaryOp op, const Operand& l, const Operand& r,
+                                size_t n) {
+  const CmpKind kind = ComparisonKind(l.col->type(), r.col->type());
+  if (kind == CmpKind::kNone) return nullptr;
+  auto out = std::make_shared<ColumnVector>(DataType::Boolean());
+  out->Resize(n);  // every row NULL until a kernel fills it
+  switch (kind) {
+    case CmpKind::kI64: {
+      const int scale = std::max(ScaleOf(l.col->type()), ScaleOf(r.col->type()));
+      ColumnVectorPtr la = AlignScale(l.col, scale), ra = AlignScale(r.col, scale);
+      CompareByOp(op, n, LaneOf(*la, la->i64_data(), l.step),
+                  LaneOf(*ra, ra->i64_data(), r.step), out.get());
+      break;
+    }
+    case CmpKind::kF64: {
+      ColumnVectorPtr la = AsF64(l.col), ra = AsF64(r.col);
+      CompareByOp(op, n, LaneOf(*la, la->f64_data(), l.step),
+                  LaneOf(*ra, ra->f64_data(), r.step), out.get());
+      break;
+    }
+    case CmpKind::kStr:
+      CompareByOp(op, n, LaneOf(*l.col, l.col->str_data(), l.step),
+                  LaneOf(*r.col, r.col->str_data(), r.step), out.get());
+      break;
+    default:
+      break;
+  }
+  return out;
+}
+
+/// [NOT] BETWEEN: NULL when the operand or either bound is NULL (the boxed
+/// evaluator's rule), else lo <= v <= hi, inverted for NOT BETWEEN.
+Result<ColumnVectorPtr> EvalBetween(const Expr& e, const RowBatch& batch,
+                                    RowwiseSink* sink) {
+  const DataType& t = e.children[0]->type;
+  if (ComparisonKind(t, e.children[1]->type) == CmpKind::kNone ||
+      ComparisonKind(t, e.children[2]->type) == CmpKind::kNone)
+    return RowWiseEval(e, batch, sink);
+  const size_t n = batch.num_rows();
+  HIVE_ASSIGN_OR_RETURN(Operand v, EvalOperand(*e.children[0], batch, sink));
+  HIVE_ASSIGN_OR_RETURN(Operand lo, EvalOperand(*e.children[1], batch, sink));
+  HIVE_ASSIGN_OR_RETURN(Operand hi, EvalOperand(*e.children[2], batch, sink));
+  ColumnVectorPtr ge = CompareOperands(BinaryOp::kGe, v, lo, n);
+  ColumnVectorPtr le = CompareOperands(BinaryOp::kLe, v, hi, n);
+  if (!ge || !le) return RowWiseEval(e, batch, sink);
+  int64_t* value = ge->i64_data().data();
+  uint8_t* valid = ge->validity().data();
+  const int64_t flip = e.negated ? 1 : 0;
+  for (size_t i = 0; i < n; ++i) {
+    valid[i] &= le->validity()[i];
+    value[i] = (value[i] & le->i64_data()[i]) ^ flip;
+  }
+  return ge;
+}
+
+/// [NOT] IN over a list: NULL when the operand is NULL, or when nothing
+/// matched and some item is NULL; otherwise whether an item matched,
+/// inverted for NOT IN. Literal items stay scalar.
+Result<ColumnVectorPtr> EvalInList(const Expr& e, const RowBatch& batch,
+                                   RowwiseSink* sink) {
+  for (size_t k = 1; k < e.children.size(); ++k)
+    if (ComparisonKind(e.children[0]->type, e.children[k]->type) == CmpKind::kNone)
+      return RowWiseEval(e, batch, sink);
+  const size_t n = batch.num_rows();
+  HIVE_ASSIGN_OR_RETURN(Operand v, EvalOperand(*e.children[0], batch, sink));
+  std::vector<uint8_t> matched(n, 0), item_null(n, 0);
+  for (size_t k = 1; k < e.children.size(); ++k) {
+    HIVE_ASSIGN_OR_RETURN(Operand item, EvalOperand(*e.children[k], batch, sink));
+    ColumnVectorPtr eq = CompareOperands(BinaryOp::kEq, v, item, n);
+    if (!eq) return RowWiseEval(e, batch, sink);
+    const uint8_t* item_valid = item.col->validity().data();
+    const bool null_typed = item.col->type().kind == TypeKind::kNull;
+    for (size_t i = 0; i < n; ++i) {
+      matched[i] |= eq->validity()[i] & static_cast<uint8_t>(eq->i64_data()[i]);
+      item_null[i] |= null_typed || !item_valid[i * item.step];
+    }
+  }
+  auto out = std::make_shared<ColumnVector>(DataType::Boolean());
+  out->Resize(n);
+  const uint8_t* v_valid = v.col->validity().data();
+  const bool v_null_typed = v.col->type().kind == TypeKind::kNull;
+  for (size_t i = 0; i < n; ++i) {
+    out->validity()[i] =
+        !v_null_typed && v_valid[i * v.step] && (matched[i] || !item_null[i]);
+    out->i64_data()[i] = matched[i] != e.negated ? 1 : 0;
+  }
+  return out;
+}
+
 }  // namespace
 
-Result<ColumnVectorPtr> EvalVector(const Expr& e, const RowBatch& batch) {
+Result<ColumnVectorPtr> EvalVector(const Expr& e, const RowBatch& batch,
+                                   std::atomic<int64_t>* rowwise_rows) {
   const size_t n = batch.num_rows();
   switch (e.kind) {
     case ExprKind::kColumnRef: {
@@ -154,37 +322,62 @@ Result<ColumnVectorPtr> EvalVector(const Expr& e, const RowBatch& batch) {
     }
     case ExprKind::kLiteral:
       return Broadcast(e.literal, e.type, n);
+    case ExprKind::kBetween:
+      return EvalBetween(e, batch, rowwise_rows);
+    case ExprKind::kInList:
+      return EvalInList(e, batch, rowwise_rows);
+    case ExprKind::kIsNull: {
+      HIVE_ASSIGN_OR_RETURN(ColumnVectorPtr v,
+                            EvalVector(*e.children[0], batch, rowwise_rows));
+      // A NULL-typed vector boxes every row as NULL, whatever its bytes.
+      const bool null_typed = v->type().kind == TypeKind::kNull;
+      auto out = std::make_shared<ColumnVector>(DataType::Boolean());
+      out->Resize(n);
+      std::fill(out->validity().begin(), out->validity().end(), 1);
+      for (size_t i = 0; i < n; ++i) {
+        const bool is_null = null_typed || !v->validity()[i];
+        out->i64_data()[i] = is_null != e.negated ? 1 : 0;
+      }
+      return out;
+    }
+    case ExprKind::kUnary: {
+      if (e.un_op != UnaryOp::kNot || !e.children[0]->type.IsIntegerBacked())
+        return RowWiseEval(e, batch, rowwise_rows);
+      HIVE_ASSIGN_OR_RETURN(ColumnVectorPtr v,
+                            EvalVector(*e.children[0], batch, rowwise_rows));
+      if (!v->type().IsIntegerBacked()) return RowWiseEval(e, batch, rowwise_rows);
+      auto out = std::make_shared<ColumnVector>(DataType::Boolean());
+      out->Resize(n);
+      out->validity() = v->validity();
+      for (size_t i = 0; i < n; ++i) out->i64_data()[i] = v->i64_data()[i] == 0 ? 1 : 0;
+      return out;
+    }
     case ExprKind::kBinary: {
-      bool comparison = e.bin_op == BinaryOp::kEq || e.bin_op == BinaryOp::kNe ||
-                        e.bin_op == BinaryOp::kLt || e.bin_op == BinaryOp::kLe ||
-                        e.bin_op == BinaryOp::kGt || e.bin_op == BinaryOp::kGe;
-      bool arithmetic = e.bin_op == BinaryOp::kAdd || e.bin_op == BinaryOp::kSub ||
-                        e.bin_op == BinaryOp::kMul;
-      if (comparison || arithmetic) {
-        HIVE_ASSIGN_OR_RETURN(ColumnVectorPtr l, EvalVector(*e.children[0], batch));
-        HIVE_ASSIGN_OR_RETURN(ColumnVectorPtr r, EvalVector(*e.children[1], batch));
-        if (IsI64Backed(l->type()) && IsI64Backed(r->type())) {
-          // Align decimal scales, then run the i64 kernel.
-          int ls = l->type().kind == TypeKind::kDecimal ? l->type().scale : 0;
-          int rs = r->type().kind == TypeKind::kDecimal ? r->type().scale : 0;
-          int target = std::max(ls, rs);
-          ColumnVectorPtr la = AlignScale(l, target);
-          ColumnVectorPtr ra = AlignScale(r, target);
-          if (comparison) {
-            switch (e.bin_op) {
-              case BinaryOp::kEq: return CompareI64(*la, *ra, [](int64_t a, int64_t b) { return a == b; });
-              case BinaryOp::kNe: return CompareI64(*la, *ra, [](int64_t a, int64_t b) { return a != b; });
-              case BinaryOp::kLt: return CompareI64(*la, *ra, [](int64_t a, int64_t b) { return a < b; });
-              case BinaryOp::kLe: return CompareI64(*la, *ra, [](int64_t a, int64_t b) { return a <= b; });
-              case BinaryOp::kGt: return CompareI64(*la, *ra, [](int64_t a, int64_t b) { return a > b; });
-              default: return CompareI64(*la, *ra, [](int64_t a, int64_t b) { return a >= b; });
-            }
-          }
-          // i64 arithmetic stays integer-backed only when the result type
-          // agrees (decimal scales already aligned).
+      if (IsComparison(e.bin_op)) {
+        if (ComparisonKind(e.children[0]->type, e.children[1]->type) != CmpKind::kNone) {
+          HIVE_ASSIGN_OR_RETURN(Operand l,
+                                EvalOperand(*e.children[0], batch, rowwise_rows));
+          HIVE_ASSIGN_OR_RETURN(Operand r,
+                                EvalOperand(*e.children[1], batch, rowwise_rows));
+          if (ColumnVectorPtr out = CompareOperands(e.bin_op, l, r, n)) return out;
+        }
+        return RowWiseEval(e, batch, rowwise_rows);
+      }
+      if (e.bin_op == BinaryOp::kAdd || e.bin_op == BinaryOp::kSub ||
+          e.bin_op == BinaryOp::kMul) {
+        HIVE_ASSIGN_OR_RETURN(ColumnVectorPtr l,
+                              EvalVector(*e.children[0], batch, rowwise_rows));
+        HIVE_ASSIGN_OR_RETURN(ColumnVectorPtr r,
+                              EvalVector(*e.children[1], batch, rowwise_rows));
+        if (l->type().IsIntegerBacked() && r->type().IsIntegerBacked()) {
+          // Align decimal scales; i64 arithmetic stays integer-backed only
+          // when the result type agrees.
+          int target = std::max(ScaleOf(l->type()), ScaleOf(r->type()));
           if (e.type.kind == TypeKind::kBigint ||
               (e.type.kind == TypeKind::kDecimal && e.type.scale == target) ||
               e.type.kind == TypeKind::kDate || e.type.kind == TypeKind::kTimestamp) {
+            ColumnVectorPtr la = AlignScale(l, target);
+            ColumnVectorPtr ra = AlignScale(r, target);
             switch (e.bin_op) {
               case BinaryOp::kAdd:
                 return ArithI64(*la, *ra, e.type, [](int64_t a, int64_t b) { return a + b; });
@@ -197,47 +390,21 @@ Result<ColumnVectorPtr> EvalVector(const Expr& e, const RowBatch& batch) {
             }
           }
         }
-        bool numeric = l->type().IsNumeric() && r->type().IsNumeric();
-        if (numeric && comparison) {
-          // Double compare producing booleans.
-          auto out = std::make_shared<ColumnVector>(DataType::Boolean());
-          out->Resize(n);
-          const auto& ln = l->validity();
-          const auto& rn = r->validity();
-          auto getd = [](const ColumnVector& c, size_t i) {
-            if (c.type().kind == TypeKind::kDouble) return c.f64_data()[i];
-            return static_cast<double>(c.i64_data()[i]) /
-                   static_cast<double>(Pow10(c.type().kind == TypeKind::kDecimal
-                                                 ? c.type().scale
-                                                 : 0));
-          };
-          for (size_t i = 0; i < n; ++i) {
-            out->validity()[i] = ln[i] & rn[i];
-            double a = getd(*l, i), b = getd(*r, i);
-            bool v = false;
-            switch (e.bin_op) {
-              case BinaryOp::kEq: v = a == b; break;
-              case BinaryOp::kNe: v = a != b; break;
-              case BinaryOp::kLt: v = a < b; break;
-              case BinaryOp::kLe: v = a <= b; break;
-              case BinaryOp::kGt: v = a > b; break;
-              default: v = a >= b; break;
-            }
-            out->i64_data()[i] = v ? 1 : 0;
-          }
-          return out;
-        }
-        if (numeric && arithmetic && e.type.kind == TypeKind::kDouble) {
+        if (l->type().IsNumeric() && r->type().IsNumeric() &&
+            e.type.kind == TypeKind::kDouble) {
           switch (e.bin_op) {
             case BinaryOp::kAdd: return ArithF64(*l, *r, [](double a, double b) { return a + b; });
             case BinaryOp::kSub: return ArithF64(*l, *r, [](double a, double b) { return a - b; });
             default: return ArithF64(*l, *r, [](double a, double b) { return a * b; });
           }
         }
+        return RowWiseEval(e, batch, rowwise_rows);
       }
       if (e.bin_op == BinaryOp::kAnd || e.bin_op == BinaryOp::kOr) {
-        HIVE_ASSIGN_OR_RETURN(ColumnVectorPtr l, EvalVector(*e.children[0], batch));
-        HIVE_ASSIGN_OR_RETURN(ColumnVectorPtr r, EvalVector(*e.children[1], batch));
+        HIVE_ASSIGN_OR_RETURN(ColumnVectorPtr l,
+                              EvalVector(*e.children[0], batch, rowwise_rows));
+        HIVE_ASSIGN_OR_RETURN(ColumnVectorPtr r,
+                              EvalVector(*e.children[1], batch, rowwise_rows));
         auto out = std::make_shared<ColumnVector>(DataType::Boolean());
         out->Resize(n);
         bool is_and = e.bin_op == BinaryOp::kAnd;
@@ -269,10 +436,10 @@ Result<ColumnVectorPtr> EvalVector(const Expr& e, const RowBatch& batch) {
         }
         return out;
       }
-      return RowWiseEval(e, batch);
+      return RowWiseEval(e, batch, rowwise_rows);
     }
     default:
-      return RowWiseEval(e, batch);
+      return RowWiseEval(e, batch, rowwise_rows);
   }
 }
 
@@ -356,8 +523,9 @@ void HashKeyColumns(const std::vector<ColumnVectorPtr>& key_cols, size_t num_row
 }
 
 Result<std::vector<int32_t>> FilterSelection(const Expr& predicate,
-                                             const RowBatch& batch) {
-  HIVE_ASSIGN_OR_RETURN(ColumnVectorPtr mask, EvalVector(predicate, batch));
+                                             const RowBatch& batch,
+                                             std::atomic<int64_t>* rowwise_rows) {
+  HIVE_ASSIGN_OR_RETURN(ColumnVectorPtr mask, EvalVector(predicate, batch, rowwise_rows));
   std::vector<int32_t> out;
   out.reserve(batch.SelectedSize());
   for (size_t i = 0; i < batch.SelectedSize(); ++i) {

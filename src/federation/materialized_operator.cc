@@ -37,7 +37,8 @@ Result<RowBatch> MaterializedScanOperator::Next(bool* done) {
   *done = false;
   RowBatch out = rows_;
   for (const ExprPtr& f : filters_) {
-    HIVE_ASSIGN_OR_RETURN(std::vector<int32_t> selection, FilterSelection(*f, out));
+    HIVE_ASSIGN_OR_RETURN(std::vector<int32_t> selection,
+                          FilterSelection(*f, out, ctx_->rowwise_rows()));
     out.SetSelection(std::move(selection));
   }
   rows_produced_ += static_cast<int64_t>(out.SelectedSize());

@@ -207,6 +207,34 @@ void LlapCacheProvider::InvalidateFile(uint64_t file_id) {
   InvalidateFileLocked(file_id);
 }
 
+std::set<uint64_t> LlapCacheProvider::CachedFileIds() {
+  std::set<uint64_t> ids;
+  data_cache_.ForEach(
+      [&ids](const ChunkKey& key, CachedChunkPtr&) { ids.insert(key.file_id); });
+  return ids;
+}
+
+void LlapCacheProvider::InvalidateDirectory(const std::string& dir) {
+  const std::string prefix = dir + "/";
+  std::unordered_set<uint64_t> ids;
+  {
+    MutexLock lock(&metadata_mu_);
+    auto it = metadata_.lower_bound(prefix);
+    while (it != metadata_.end() && it->first.compare(0, prefix.size(), prefix) == 0) {
+      ids.insert(it->second.first);
+      it = metadata_.erase(it);
+    }
+  }
+  if (ids.empty()) return;
+  data_cache_.EraseIf(
+      [&ids](const ChunkKey& key) { return ids.count(key.file_id) != 0; });
+  MutexLock lock(&poison_mu_);
+  for (uint64_t id : ids) {
+    poison_streak_.erase(id);
+    degraded_.erase(id);
+  }
+}
+
 void LlapCacheProvider::InvalidateFileLocked(uint64_t file_id) {
   data_cache_.EraseIf(
       [file_id](const ChunkKey& key) { return key.file_id == file_id; });

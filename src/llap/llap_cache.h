@@ -4,6 +4,7 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -49,8 +50,12 @@ class LlapCacheProvider : public ChunkProvider {
   /// history: a restarted daemon re-admits degraded files.
   void Clear();
 
-  /// Invalidates data cached for a specific file id (compaction cleanup).
+  /// Invalidates data cached for a specific file id.
   void InvalidateFile(uint64_t file_id);
+
+  /// Drops the footers and chunks of every cached file under `dir` (a
+  /// directory compaction cleanup deleted), and their poison history.
+  void InvalidateDirectory(const std::string& dir);
 
   /// Test hook: silently corrupts up to `n` cached chunks *without*
   /// refreshing their stored fingerprints, simulating cache poisoning.
@@ -64,6 +69,9 @@ class LlapCacheProvider : public ChunkProvider {
   uint64_t metadata_hits() const { return metadata_hits_; }
   uint64_t used_bytes() const { return data_cache_.used_bytes(); }
   size_t cached_chunks() const { return data_cache_.size(); }
+  /// File ids with at least one cached chunk (walks the whole cache under
+  /// its lock; for tests and diagnostics).
+  std::set<uint64_t> CachedFileIds();
   /// Chunk decodes actually performed (single-flight leaders only).
   uint64_t data_decodes() const { return data_decodes_; }
   /// Readers that waited on another thread's in-flight decode.

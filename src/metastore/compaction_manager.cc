@@ -64,7 +64,16 @@ Status CompactionManager::CompactLocation(const std::string& location,
     pending_cleans_.push_back({location, schema, snapshot});
     return Status::OK();
   }
-  return compactor.Clean(snapshot);
+  return Clean(location, schema, snapshot);
+}
+
+Status CompactionManager::Clean(const std::string& location, const Schema& schema,
+                                const ValidWriteIdList& snapshot) {
+  Compactor compactor(catalog_->filesystem(), location, schema);
+  std::vector<std::string> deleted;
+  Status status = compactor.Clean(snapshot, &deleted);
+  if (clean_listener_ && !deleted.empty()) clean_listener_(deleted);
+  return status;
 }
 
 void CompactionManager::FlushPendingCleans() {
@@ -81,8 +90,7 @@ void CompactionManager::FlushPendingCleansLocked() {
   // dropped while the clean was pending.
   std::vector<PendingClean> still_pending;
   for (PendingClean& pending : pending_cleans_) {
-    Compactor compactor(catalog_->filesystem(), pending.location, pending.schema);
-    Status clean = compactor.Clean(pending.snapshot);
+    Status clean = Clean(pending.location, pending.schema, pending.snapshot);
     if (!clean.ok() && !clean.IsNotFound())
       still_pending.push_back(std::move(pending));
   }

@@ -2,6 +2,7 @@
 #define HIVE_METASTORE_COMPACTION_MANAGER_H_
 
 #include <atomic>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -65,6 +66,14 @@ class CompactionManager {
   /// reader is active. Safe to call at any time.
   void FlushPendingCleans();
 
+  /// Called with the directories each clean deleted, under the compaction
+  /// lock, so caches keyed by those files can drop them (the server wires
+  /// the LLAP cache here). Set once, before the first compaction.
+  using CleanListener = std::function<void(const std::vector<std::string>& dirs)>;
+  void set_clean_listener(CleanListener listener) {
+    clean_listener_ = std::move(listener);
+  }
+
   int64_t compactions_run() const { return compactions_run_.load(); }
   size_t pending_cleans() const {
     MutexLock lock(&compact_mu_);
@@ -82,8 +91,11 @@ class CompactionManager {
 
   Status CompactLocation(const std::string& location, const Schema& schema,
                          const ValidWriteIdList& snapshot,
-                         CompactionDecision* decision);
+                         CompactionDecision* decision) HIVE_REQUIRES(compact_mu_);
   void FlushPendingCleansLocked() HIVE_REQUIRES(compact_mu_);
+  /// Runs one clean and reports what it deleted to the listener.
+  Status Clean(const std::string& location, const Schema& schema,
+               const ValidWriteIdList& snapshot) HIVE_REQUIRES(compact_mu_);
 
   Catalog* catalog_;
   TransactionManager* txns_;
@@ -95,6 +107,7 @@ class CompactionManager {
   std::vector<PendingClean> pending_cleans_ HIVE_GUARDED_BY(compact_mu_);
   std::atomic<int64_t> active_readers_{0};
   std::atomic<int64_t> compactions_run_{0};
+  CleanListener clean_listener_;
 };
 
 }  // namespace hive

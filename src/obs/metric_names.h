@@ -44,6 +44,9 @@ inline constexpr char kSpillBytes[] = "exec.spill.bytes";
 inline constexpr char kSpillPartitions[] = "exec.spill.partitions";
 inline constexpr char kSpillMergePasses[] = "exec.spill.merge_passes";
 inline constexpr char kSpillDeniedReservations[] = "exec.spill.denied_reservations";
+/// Rows evaluated through vector_eval's boxed row-wise fallback (CASE, LIKE,
+/// CAST, ...): per query in the profile, engine-wide in SHOW METRICS.
+inline constexpr char kEvalRowwiseRows[] = "exec.eval.rowwise_rows";
 
 // --- LLAP daemon ----------------------------------------------------------
 inline constexpr char kLlapCacheEvictions[] = "llap.cache.evictions";

@@ -24,6 +24,12 @@ HiveServer2::HiveServer2(FileSystem* fs, Config config)
   // CREATE TEMPORARY TABLE doesn't race another session's.
   // lint: allow-discard(already-exists is fine when two servers share a catalog fs)
   (void)catalog_.CreateDatabase(kTempDatabase);
+  // Compaction cleanup deletes superseded base/delta directories; their
+  // files' footers and chunks leave the LLAP cache with them.
+  LlapCacheProvider* cache = llap_->cache();
+  compaction_.set_clean_listener([cache](const std::vector<std::string>& dirs) {
+    for (const std::string& dir : dirs) cache->InvalidateDirectory(dir);
+  });
   RegisterEngineMetrics();
   wm_.RegisterMetrics(&metrics_);
   // Workload-manager triggers may name any registry metric in addition to
@@ -463,6 +469,9 @@ Result<QueryResult> HiveServer2::TryExecuteSelect(Session* session,
                         stats->speculative_tasks.load(std::memory_order_relaxed));
     profile->SetCounter(qc::kSpeculativeWins,
                         stats->speculative_wins.load(std::memory_order_relaxed));
+    const int64_t rowwise = stats->eval_rowwise_rows.load(std::memory_order_relaxed);
+    profile->SetCounter(qc::kEvalRowwiseRows, rowwise);
+    metrics_.counter(qc::kEvalRowwiseRows)->Add(rowwise);
   }
   if (llap_ && config.llap_enabled) {
     profile->SetCounter(qc::kLlapCacheHits,

@@ -498,10 +498,13 @@ Status Compactor::RunMajor(const ValidWriteIdList& snapshot) {
   return Status::OK();
 }
 
-Status Compactor::Clean(const ValidWriteIdList& snapshot) {
+Status Compactor::Clean(const ValidWriteIdList& snapshot,
+                        std::vector<std::string>* deleted) {
   HIVE_ASSIGN_OR_RETURN(AcidDirSelection sel, SelectAcidDirs(fs_, dir_, snapshot));
-  for (const AcidDirInfo& d : sel.obsolete)
+  for (const AcidDirInfo& d : sel.obsolete) {
     HIVE_RETURN_IF_ERROR(fs_->DeleteRecursive(d.path));
+    if (deleted) deleted->push_back(d.path);
+  }
   return Status::OK();
 }
 

@@ -220,8 +220,11 @@ class Compactor {
   /// Rewrites base+deltas−deletes into base_{hwm}.
   Status RunMajor(const ValidWriteIdList& snapshot);
 
-  /// Deletes directories superseded by compaction output.
-  Status Clean(const ValidWriteIdList& snapshot);
+  /// Deletes directories superseded by compaction output. `deleted`
+  /// (optional) receives each directory removed, also when a later delete
+  /// fails.
+  Status Clean(const ValidWriteIdList& snapshot,
+               std::vector<std::string>* deleted = nullptr);
 
  private:
   FileSystem* fs_;

@@ -297,13 +297,19 @@ void CofWriter::AppendRow(const std::vector<Value>& row) {
 }
 
 void CofWriter::AppendBatch(const RowBatch& batch) {
-  for (size_t i = 0; i < batch.SelectedSize(); ++i) {
-    int32_t row = batch.SelectedRow(i);
+  std::vector<int32_t> rows(batch.SelectedSize());
+  for (size_t i = 0; i < rows.size(); ++i) rows[i] = batch.SelectedRow(i);
+  // Gather up to the row-group boundary, flush, repeat: row groups break at
+  // the same rows as with AppendRow.
+  const size_t group_rows = std::max<size_t>(1, options_.row_group_size);
+  for (size_t done = 0; done < rows.size();) {
+    const size_t take = std::min(rows.size() - done, group_rows - pending_rows_);
     for (size_t c = 0; c < pending_.size() && c < batch.num_columns(); ++c)
-      pending_[c].AppendFrom(*batch.column(c), row);
-    ++pending_rows_;
-    ++rows_appended_;
-    if (pending_rows_ >= options_.row_group_size) FlushRowGroup();
+      pending_[c].AppendGather(*batch.column(c), rows.data() + done, take);
+    pending_rows_ += take;
+    rows_appended_ += take;
+    done += take;
+    if (pending_rows_ >= group_rows) FlushRowGroup();
   }
 }
 

@@ -4,6 +4,7 @@
 #include <thread>
 
 #include "common/bloom_filter.h"
+#include "common/column_vector.h"
 #include "common/hll.h"
 #include "common/lrfu_cache.h"
 #include "common/rng.h"
@@ -117,6 +118,72 @@ TEST(DateTest, ExtractFields) {
   EXPECT_EQ(ExtractDateField(DateField::kMonth, v), 11);
   EXPECT_EQ(ExtractDateField(DateField::kDay, v), 5);
   EXPECT_EQ(ExtractDateField(DateField::kQuarter, v), 4);
+}
+
+TEST(ColumnVectorTest, AppendGatherEqualsAppendFromLoop) {
+  // Every backing kind, NULL source rows, repeated and negative indexes, and
+  // a non-empty destination: the gather must leave exactly the buffers an
+  // AppendFrom/AppendNull loop leaves.
+  const std::vector<DataType> types = {DataType::Bigint(), DataType::Double(),
+                                       DataType::Decimal(7, 2), DataType::String(),
+                                       DataType::Date()};
+  const std::vector<int32_t> rows = {3, -1, 0, 7, 7, -5, 2, 9, 1};
+  for (const DataType& type : types) {
+    ColumnVector src(type);
+    for (int i = 0; i < 10; ++i) {
+      if (i % 4 == 2) {
+        src.AppendNull();
+        continue;
+      }
+      switch (type.kind) {
+        case TypeKind::kDouble: src.AppendF64(i * 1.5); break;
+        case TypeKind::kString: src.AppendStr("v" + std::to_string(i)); break;
+        default: src.AppendI64(i * 101 - 300); break;
+      }
+    }
+    ColumnVector gathered(type), looped(type);
+    gathered.AppendValue(src.GetValue(0));
+    looped.AppendValue(src.GetValue(0));
+    gathered.AppendGather(src, rows.data(), rows.size());
+    for (int32_t r : rows) {
+      if (r < 0) {
+        looped.AppendNull();
+      } else {
+        looped.AppendFrom(src, static_cast<size_t>(r));
+      }
+    }
+    const std::string kind = type.ToString();
+    ASSERT_EQ(gathered.size(), looped.size()) << kind;
+    EXPECT_EQ(gathered.validity(), looped.validity()) << kind;
+    EXPECT_EQ(gathered.i64_data(), looped.i64_data()) << kind;
+    EXPECT_EQ(gathered.f64_data(), looped.f64_data()) << kind;
+    EXPECT_EQ(gathered.str_data(), looped.str_data()) << kind;
+    for (size_t i = 0; i < gathered.size(); ++i)
+      EXPECT_EQ(Value::Compare(gathered.GetValue(i), looped.GetValue(i)), 0)
+          << kind << " row " << i;
+  }
+}
+
+TEST(ColumnVectorTest, RowBatchAppendSelectedAndFlatten) {
+  Schema schema;
+  schema.AddField("k", DataType::Bigint());
+  schema.AddField("s", DataType::String());
+  RowBatch batch(schema);
+  for (int i = 0; i < 6; ++i) {
+    batch.column(0)->AppendI64(i);
+    batch.column(1)->AppendStr("r" + std::to_string(i));
+  }
+  batch.set_num_rows(6);
+  batch.SetSelection({1, 4, 5});
+  RowBatch copy(schema);
+  copy.AppendSelected(batch);
+  copy.AppendSelected(batch);
+  ASSERT_EQ(copy.num_rows(), 6u);
+  EXPECT_EQ(copy.column(0)->i64_data(), (std::vector<int64_t>{1, 4, 5, 1, 4, 5}));
+  batch.Flatten();
+  ASSERT_EQ(batch.num_rows(), 3u);
+  EXPECT_FALSE(batch.has_selection());
+  EXPECT_EQ(batch.column(1)->str_data(), (std::vector<std::string>{"r1", "r4", "r5"}));
 }
 
 TEST(SchemaTest, CaseInsensitiveLookup) {

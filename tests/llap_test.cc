@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
 #include <thread>
 #include <vector>
 
 #include "fs/mem_filesystem.h"
 #include "llap/daemon.h"
+#include "server/hive_server.h"
 #include "storage/acid.h"
 
 namespace hive {
@@ -137,6 +139,56 @@ TEST(LlapCacheTest, MvccViaAcidFileSelection) {
   EXPECT_EQ(count_rows(ValidWriteIdList::All(2)), 2)
       << "newer snapshot unaffected by cached reads of the older one";
   EXPECT_GT(cache.data_hits(), 0u);
+}
+
+TEST(LlapCacheTest, CompactionCleanDropsDeletedFilesFromCache) {
+  // Warm the cache over two delta directories, then let the third write's
+  // automatic compaction merge and clean them: nothing cached may belong to
+  // a file the clean deleted.
+  MemFileSystem fs;
+  Config config;
+  config.compaction_delta_threshold = 3;
+  HiveServer2 server(&fs, config);
+  Connection conn = server.Connect();
+  conn.config().result_cache_enabled = false;
+  ASSERT_TRUE(conn.Execute("CREATE TABLE acct (id INT, amount INT)").ok());
+  LlapCacheProvider* cache = server.llap()->cache();
+  for (int i = 0; i < 2; ++i) {
+    const std::string row = std::to_string(i);
+    ASSERT_TRUE(conn.Execute("INSERT INTO acct VALUES (" + row + ", 10)").ok());
+    auto sum = conn.Execute("SELECT SUM(amount) FROM acct");
+    ASSERT_TRUE(sum.ok()) << sum.status().ToString();
+  }
+  const std::set<uint64_t> before = cache->CachedFileIds();
+  ASSERT_FALSE(before.empty());
+
+  ASSERT_TRUE(conn.Execute("INSERT INTO acct VALUES (2, 10)").ok());
+  ASSERT_GT(server.compaction()->compactions_run(), 0);
+  ASSERT_EQ(server.compaction()->pending_cleans(), 0u);
+
+  auto desc = server.catalog()->GetTable("default", "acct");
+  ASSERT_TRUE(desc.ok());
+  std::set<uint64_t> live;
+  std::function<void(const std::string&)> walk = [&](const std::string& dir) {
+    auto entries = fs.ListDir(dir);
+    ASSERT_TRUE(entries.ok()) << entries.status().ToString();
+    for (const FileInfo& f : *entries) {
+      if (f.is_dir) {
+        walk(f.path);
+      } else {
+        live.insert(f.file_id);
+      }
+    }
+  };
+  walk(desc->location);
+  for (uint64_t id : before)
+    EXPECT_EQ(live.count(id), 0u) << "the warmed deltas were compacted away";
+  for (uint64_t id : cache->CachedFileIds())
+    EXPECT_EQ(live.count(id), 1u) << "cached chunk of deleted file " << id;
+
+  auto sum = conn.Execute("SELECT SUM(amount) FROM acct");
+  ASSERT_TRUE(sum.ok()) << sum.status().ToString();
+  EXPECT_EQ(sum->rows[0][0].AsInt64(), 30);
 }
 
 TEST(LlapDaemonTest, FragmentsRunOnPersistentExecutors) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -367,6 +368,41 @@ TEST_F(ObsEndToEndTest, ExplainAnalyzeKeepsOneNodePerPlanNodeInsidePipelines) {
   EXPECT_EQ(join->children[0]->detail, "default.store_sales");
   EXPECT_GT(join->children[0]->rows_out, 0);
   EXPECT_EQ(join->children[1]->detail, "default.item,spooled");
+}
+
+TEST_F(ObsEndToEndTest, RowwiseFallbackCounterSeparatesKernelsFromBoxedRows) {
+  Connection session = server_->Connect();
+  session.config().result_cache_enabled = false;
+  auto metrics_before = session.Execute("SHOW METRICS");
+  ASSERT_TRUE(metrics_before.ok());
+  const int64_t engine_before =
+      std::max<int64_t>(0, MetricRow(*metrics_before, obs::qc::kEvalRowwiseRows));
+
+  // q88's eight ss_quantity BETWEEN filters run on the native kernel.
+  auto q88 = session.Execute(TpcdsQ88Style());
+  ASSERT_TRUE(q88.ok()) << q88.status().ToString();
+  EXPECT_EQ(q88->profile().counter(obs::qc::kEvalRowwiseRows), 0);
+
+  // LIKE has no kernel: every row of the filtered scan is boxed.
+  const std::string like = "SELECT COUNT(*) FROM item WHERE i_brand LIKE '%1%'";
+  auto boxed = session.Execute(like);
+  ASSERT_TRUE(boxed.ok()) << boxed.status().ToString();
+  const int64_t rowwise = boxed->profile().counter(obs::qc::kEvalRowwiseRows);
+  EXPECT_GT(rowwise, 0);
+
+  auto analyzed = session.Execute("EXPLAIN ANALYZE " + like);
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  std::string all;
+  for (const auto& row : analyzed->rows) all += row[0].ToString() + "\n";
+  EXPECT_NE(all.find(std::string(obs::qc::kEvalRowwiseRows) + " = " +
+                     std::to_string(rowwise)),
+            std::string::npos)
+      << all;
+
+  auto metrics_after = session.Execute("SHOW METRICS");
+  ASSERT_TRUE(metrics_after.ok());
+  EXPECT_GE(MetricRow(*metrics_after, obs::qc::kEvalRowwiseRows) - engine_before,
+            2 * rowwise);
 }
 
 TEST_F(ObsEndToEndTest, ExecuteScriptReturnsEveryStatementsResult) {

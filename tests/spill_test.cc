@@ -157,8 +157,9 @@ TEST(SpillStreamTest, BatchWriterRoundTripsRowsAndSeqs) {
   dense.set_num_rows(2500);
 
   SpillBatchWriter writer(&h.ctx, "/spill/b", schema, /*with_seqs=*/true);
-  for (size_t i = 0; i < 2500; ++i)
-    ASSERT_TRUE(writer.AppendBatchRow(dense, i, 1000 + i).ok());
+  std::vector<uint64_t> seqs_in(2500);
+  for (size_t i = 0; i < 2500; ++i) seqs_in[i] = 1000 + i;
+  ASSERT_TRUE(writer.AppendAll(dense, seqs_in.data()).ok());
   ASSERT_TRUE(writer.Finish().ok());
   EXPECT_EQ(writer.num_rows(), 2500u);
 
